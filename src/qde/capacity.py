@@ -17,8 +17,7 @@ measurement list), with deterministic seeding.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -256,7 +255,6 @@ class OptimizerConfig:
     restarts: int = 20
     max_iterations: int = 500
     seed: int = 0
-    threads: int = 1
     allow_large_blocks: bool = False
     extra_initial_points: tuple = ()
 
@@ -305,11 +303,7 @@ def _search(objective, family: MeasurementFamily, config: OptimizerConfig):
         )
         return float(-res.fun), np.asarray(res.x), int(res.nit)
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
+    results = [run(s) for s in starts]
     trace = tuple(
         {"restart": i, "value": v, "iterations": it} for i, (v, _, it) in enumerate(results)
     )
@@ -444,14 +438,7 @@ def capacity_rate(
                 if key in prev_params:
                     p = np.asarray(prev_params[key])
                     seeds.append(product_parameters(p, p, channel.output_dim))
-            cfg = OptimizerConfig(
-                restarts=config.restarts,
-                max_iterations=config.max_iterations,
-                seed=config.seed,
-                threads=config.threads,
-                allow_large_blocks=config.allow_large_blocks,
-                extra_initial_points=tuple(seeds),
-            )
+            cfg = replace(config, extra_initial_points=tuple(seeds))
         report = merged_capacity_report(phi, channel, n, cfg)
         reports[n] = report
         prev_params = report.best_measurement_parameters

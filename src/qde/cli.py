@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-    qde run <spec.json> [--out DIR] [--seed S] [--threads T]
+    qde run <spec.json> [--out DIR] [--seed S]
     qde verify [--dims 2,3,4] [--trials K] [--seed S] [--out DIR]
-    qde capacity <spec.json> --n {1,2} [--out DIR] [--seed S] [--threads T]
+    qde capacity <spec.json> --n {1,2} [--out DIR] [--seed S]
 
 Exit codes: 0 success, 2 validation failure, 3 property-suite violation,
 4 resource cap exceeded.
@@ -19,6 +19,13 @@ from .errors import QdeError, SpecFormatError
 from .harness import SCHEMA_VERSION, SystemSpec, parse_spec, run_task, write_record
 
 
+def _dims(text: str) -> list[int]:
+    try:
+        return [int(d) for d in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qde", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -27,10 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("spec", help="path to a JSON system spec")
     run.add_argument("--out", default=None, help="directory for result files")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--threads", type=int, default=1)
 
     verify = sub.add_parser("verify", help="run the randomized property suite")
-    verify.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
+    verify.add_argument("--dims", type=_dims, default="2,3,4", help="comma-separated dimensions")
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out", default=None)
@@ -40,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--n", type=int, choices=(1, 2), default=1)
     cap.add_argument("--out", default=None)
     cap.add_argument("--seed", type=int, default=None)
-    cap.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -65,7 +70,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             spec = _load_spec(args.spec)
-            record = run_task(spec, seed=args.seed, threads=args.threads)
+            record = run_task(spec, seed=args.seed)
             _emit(record, args.out, os.path.splitext(os.path.basename(args.spec))[0])
             return 3 if record.has_violation else 0
 
@@ -74,7 +79,7 @@ def main(argv=None) -> int:
                 "schema_version": SCHEMA_VERSION,
                 "task": "verify",
                 "params": {
-                    "dims": [int(d) for d in args.dims.split(",")],
+                    "dims": args.dims,
                     "trials": args.trials,
                     "seed": args.seed,
                 },
@@ -87,7 +92,7 @@ def main(argv=None) -> int:
         if args.command == "capacity":
             spec = _load_spec(args.spec)
             spec.params["n"] = args.n
-            record = run_task(spec, seed=args.seed, threads=args.threads)
+            record = run_task(spec, seed=args.seed)
             _emit(record, args.out, os.path.splitext(os.path.basename(args.spec))[0])
             return 0
     except QdeError as exc:

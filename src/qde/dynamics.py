@@ -30,7 +30,15 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import BlockAlgebra, direct_sum, frobenius
-from .partitions import Automorphism, KrausMap, Partition, compose, compress_kraus, conjugate
+from .partitions import (
+    Automorphism,
+    KrausMap,
+    Partition,
+    _product_kraus,
+    compose,
+    compress_kraus,
+    conjugate,
+)
 from .states import DivergenceEngine, StateFunctional, relative_entropy
 
 
@@ -169,10 +177,8 @@ def refinement(
         extended = []
         for acc, word in words:
             for m in factor.maps:
-                kraus = tuple(l @ k for k in acc.kraus for l in m.kraus)
-                extended.append(
-                    (compress_kraus(KrausMap(kraus, label=None)), word + (m.label,))
-                )
+                composite = KrausMap(_product_kraus(acc, m), label=None)
+                extended.append((compress_kraus(composite), word + (m.label,)))
         words = extended
     return Partition(tuple(m.relabel(word) for m, word in words))
 

@@ -9,6 +9,7 @@ for the sequence-valued tasks.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -82,6 +83,40 @@ def _fail(path: str, message: str) -> SpecFormatError:
     return SpecFormatError(path, message)
 
 
+_NUMBER_TYPES = (int, float)  # what JSON numbers decode to; bool is excluded
+
+
+def _number(value, path: str) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise _fail(path, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(path, "expected a finite number")
+    return number
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _dimension(value, path: str) -> int:
+    dim = _integer(value, path)
+    if dim < 1:
+        raise _fail(path, f"expected a positive dimension, got {dim}")
+    return dim
+
+
+def _int_param(params: dict, key: str, default: int) -> int:
+    return _integer(params.get(key, default), f"params.{key}")
+
+
 def _matrix(obj, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise _fail(path, "expected a nonempty list of rows")
@@ -91,9 +126,20 @@ def _matrix(obj, path: str) -> np.ndarray:
             raise _fail(f"{path}[{i}]", "expected a list of [re, im] pairs")
         entries = []
         for j, cell in enumerate(row):
-            if not (isinstance(cell, list) and len(cell) == 2):
-                raise _fail(f"{path}[{i}][{j}]", "expected an [re, im] pair")
-            entries.append(complex(float(cell[0]), float(cell[1])))
+            if not (
+                isinstance(cell, list)
+                and len(cell) == 2
+                and type(cell[0]) in _NUMBER_TYPES
+                and type(cell[1]) in _NUMBER_TYPES
+            ):
+                raise _fail(f"{path}[{i}][{j}]", "expected an [re, im] pair of numbers")
+            try:
+                entry = complex(cell[0], cell[1])
+            except OverflowError:  # an integer beyond the float range
+                entry = complex(math.inf)
+            if not cmath.isfinite(entry):
+                raise _fail(f"{path}[{i}][{j}]", "expected finite numbers")
+            entries.append(entry)
         rows.append(entries)
     if any(len(r) != len(rows[0]) for r in rows):
         raise _fail(path, "ragged matrix rows")
@@ -103,14 +149,16 @@ def _matrix(obj, path: str) -> np.ndarray:
 def _vector(obj, path: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise _fail(path, "expected a nonempty list of numbers")
-    try:
-        return np.array([float(x) for x in obj])
-    except (TypeError, ValueError):
-        raise _fail(path, "expected a list of numbers") from None
+    return np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(obj)])
 
 
 def _real_matrix(obj, path: str) -> np.ndarray:
-    return np.array([_vector(row, f"{path}[{i}]") for i, row in enumerate(obj)])
+    if not isinstance(obj, list) or not obj:
+        raise _fail(path, "expected a nonempty list of rows")
+    rows = [_vector(row, f"{path}[{i}]") for i, row in enumerate(obj)]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise _fail(path, "ragged matrix rows")
+    return np.array(rows)
 
 
 def _partition(obj, path: str) -> Partition:
@@ -151,20 +199,27 @@ def _channel(obj, path: str) -> Channel:
     kind = obj["kind"]
     try:
         if kind == "ensemble":
-            states = [
-                _matrix(m, f"{path}.states[{i}]") for i, m in enumerate(obj.get("states", []))
-            ]
+            states = obj.get("states")
+            if not isinstance(states, list) or not states:
+                raise _fail(f"{path}.states", "expected a nonempty list of density matrices")
+            states = [_matrix(m, f"{path}.states[{i}]") for i, m in enumerate(states)]
             return ensemble_channel(states, _vector(obj.get("probs"), f"{path}.probs"))
         if kind == "depolarizing":
-            return depolarizing_channel(float(obj.get("p", 0.5)), int(obj.get("dim", 2)))
+            return depolarizing_channel(
+                _number(obj.get("p", 0.5), f"{path}.p"),
+                _dimension(obj.get("dim", 2), f"{path}.dim"),
+            )
         if kind == "dephasing":
-            return dephasing_channel(float(obj.get("p", 0.5)))
+            return dephasing_channel(_number(obj.get("p", 0.5), f"{path}.p"))
         if kind == "proportional":
             return proportional_code_channel(
-                _vector(obj.get("weights"), f"{path}.weights"), int(obj.get("dim", 2))
+                _vector(obj.get("weights"), f"{path}.weights"),
+                _dimension(obj.get("dim", 2), f"{path}.dim"),
             )
         if kind == "code":
             return Channel.from_code(_partition(obj.get("code"), f"{path}.code"))
+    except SpecFormatError:
+        raise
     except QdeError as exc:
         raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.kind", f"unknown channel kind {kind!r}")
@@ -180,9 +235,16 @@ def _classical(obj, path: str) -> ClassicalSystem:
         if "functions" in obj:
             functions = FunctionPartition(_real_matrix(obj["functions"], f"{path}.functions"))
         if "permutation" in obj:
-            permutation = np.array([int(x) for x in obj["permutation"]], dtype=int)
+            perm = obj["permutation"]
+            if not isinstance(perm, list):
+                raise _fail(f"{path}.permutation", "expected a list of integers")
+            permutation = np.array(
+                [_integer(x, f"{path}.permutation[{i}]") for i, x in enumerate(perm)], dtype=int
+            )
         if "markov" in obj:
             markov = SymbolicShift(_real_matrix(obj["markov"], f"{path}.markov"))
+    except SpecFormatError:
+        raise
     except QdeError as exc:
         raise _fail(f"{path}.{_classical_offender(exc)}", str(exc)) from exc
     return ClassicalSystem(space, functions, permutation, markov)
@@ -203,7 +265,7 @@ def parse_spec(text: str) -> SystemSpec:
     """Parse and validate a JSON system spec; errors carry the offending path."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise _fail("$", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise _fail("$", "top level must be an object")
@@ -217,26 +279,33 @@ def parse_spec(text: str) -> SystemSpec:
     algebra = None
     if "algebra" in raw:
         blocks = raw["algebra"].get("blocks") if isinstance(raw["algebra"], dict) else raw["algebra"]
+        if not isinstance(blocks, list):
+            raise _fail("algebra", "expected a list of block sizes")
+        sizes = tuple(_dimension(b, f"algebra.blocks[{i}]") for i, b in enumerate(blocks))
         try:
-            algebra = BlockAlgebra(tuple(int(b) for b in blocks))
-        except (TypeError, QdeError) as exc:
+            algebra = BlockAlgebra(sizes)
+        except QdeError as exc:
             raise _fail("algebra", str(exc)) from exc
 
     state = None
     if "state" in raw:
+        density = _matrix(raw["state"], "state")
         try:
-            state = StateFunctional.from_density(_matrix(raw["state"], "state"), algebra)
+            state = StateFunctional.from_density(density, algebra)
         except QdeError as exc:
             raise _fail("state", str(exc)) from exc
 
     partitions = {}
+    if not isinstance(raw.get("partitions") or {}, dict):
+        raise _fail("partitions", "expected an object of named partitions")
     for name, obj in (raw.get("partitions") or {}).items():
         partitions[name] = _partition(obj, f"partitions.{name}")
 
     unitary = None
     if "unitary" in raw:
+        matrix = _matrix(raw["unitary"], "unitary")
         try:
-            unitary = Automorphism(_matrix(raw["unitary"], "unitary"))
+            unitary = Automorphism(matrix)
         except QdeError as exc:
             raise _fail("unitary", str(exc)) from exc
 
@@ -277,7 +346,7 @@ class ResultRecord:
             "provenance": self.provenance,
             "wall_time_s": self.wall_time_s,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable)
+        return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
 
     def human_table(self) -> str:
         lines = [f"task: {self.task}"]
@@ -296,14 +365,20 @@ class ResultRecord:
         return any(not entry["passed"] for entry in checks.values())
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+def _plain(value):
+    """The payload with numpy values unwrapped and non-finite floats spelled
+    "inf", "-inf" or "nan", so that it encodes as strict JSON."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    raise TypeError(f"cannot serialize {type(value)}")
+        return _plain(value.tolist())
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
 
 
 def _fmt(value) -> str:
@@ -322,31 +397,29 @@ def _pick_partition(spec: SystemSpec, path="params.partition") -> Partition:
         if len(spec.partitions) > 1:
             raise _fail(path, f"several partitions given, choose one of {sorted(spec.partitions)}")
         return next(iter(spec.partitions.values()))
-    if name not in spec.partitions:
+    if not isinstance(name, str) or name not in spec.partitions:
         raise _fail(path, f"unknown partition {name!r}")
     return spec.partitions[name]
 
 
-def _float_or_inf(x: float):
-    return x if math.isfinite(x) else "inf"
-
-
-def _task_info(spec: SystemSpec, seed: int, threads: int) -> dict:
+def _task_info(spec: SystemSpec, seed: int) -> dict:
     if spec.state is None:
         raise _fail("state", "info task needs a state")
     zeta = _pick_partition(spec)
-    cutoff = float(spec.params.get("support_cutoff", defaults.SUPPORT_CUTOFF))
+    cutoff = _number(
+        spec.params.get("support_cutoff", defaults.SUPPORT_CUTOFF), "params.support_cutoff"
+    )
     report = information(spec.state, zeta, cutoff)
     direct = information_via_direct_sum(spec.state, zeta, cutoff)
     results = {
-        "H": _float_or_inf(report.total_H),
+        "H": report.total_H,
         "Hc": report.classical_Hc,
-        "Hq": _float_or_inf(report.quantum_Hq),
+        "Hq": report.quantum_Hq,
         "split_residual": report.split_residual,
-        "direct_sum_H": _float_or_inf(direct),
+        "direct_sum_H": direct,
         "direct_sum_residual": abs(report.total_H - direct)
         if math.isfinite(report.total_H)
-        else "inf",
+        else math.inf,
         "infinite": report.infinite_flag,
         "weights": {str(k): v for k, v in report.weights.items()},
         "invariance_residual": invariance_check(spec.state, zeta)
@@ -356,12 +429,16 @@ def _task_info(spec: SystemSpec, seed: int, threads: int) -> dict:
     return {"results": results, "series": []}
 
 
-def _task_dynent(spec: SystemSpec, seed: int, threads: int) -> dict:
+def _task_dynent(spec: SystemSpec, seed: int) -> dict:
     if spec.state is None:
         raise _fail("state", "dynent task needs a state")
-    depth = int(spec.params.get("N", defaults.DEFAULT_DEPTH))
-    cap = int(spec.params.get("branch_cap", defaults.BRANCH_CAP))
+    depth = _int_param(spec.params, "N", defaults.DEFAULT_DEPTH)
+    cap = _int_param(spec.params, "branch_cap", defaults.BRANCH_CAP)
     names = spec.params.get("partitions")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+    ):
+        raise _fail("params.partitions", "expected a list of partition names")
     if names is None:
         candidates = {None: _pick_partition(spec)}
     else:
@@ -394,7 +471,7 @@ def _task_dynent(spec: SystemSpec, seed: int, threads: int) -> dict:
     return {"results": results, "series": series}
 
 
-def _task_capacity(spec: SystemSpec, seed: int, threads: int) -> dict:
+def _task_capacity(spec: SystemSpec, seed: int) -> dict:
     if spec.channel is not None:
         channel = spec.channel
         phi = spec.state
@@ -408,12 +485,11 @@ def _task_capacity(spec: SystemSpec, seed: int, threads: int) -> dict:
         if spec.state is None:
             raise _fail("state", "capacity task needs a state")
         phi = spec.state
-    n_max = int(spec.params.get("n", 1))
+    n_max = _int_param(spec.params, "n", 1)
     config = OptimizerConfig(
-        restarts=int(spec.params.get("restarts", 20)),
-        max_iterations=int(spec.params.get("max_iterations", 500)),
+        restarts=_int_param(spec.params, "restarts", 20),
+        max_iterations=_int_param(spec.params, "max_iterations", 500),
         seed=seed,
-        threads=threads,
     )
     results = {"chi": holevo_quantity(phi, channel)}
     series = []
@@ -433,13 +509,13 @@ def _task_capacity(spec: SystemSpec, seed: int, threads: int) -> dict:
     return {"results": results, "series": series}
 
 
-def _task_classical(spec: SystemSpec, seed: int, threads: int) -> dict:
+def _task_classical(spec: SystemSpec, seed: int) -> dict:
     cs = spec.classical
     if cs is None:
         raise _fail("classical", "classical task needs a classical block")
     results: dict = {}
     series: list = []
-    depth = int(spec.params.get("N", 5))
+    depth = _int_param(spec.params, "N", 5)
     if cs.markov is not None:
         seq = markov_entropy_sequence(cs.markov, depth=depth)
         results["h_estimate"] = seq.h_estimate
@@ -461,9 +537,12 @@ def _task_classical(spec: SystemSpec, seed: int, threads: int) -> dict:
     return {"results": results, "series": series}
 
 
-def _task_verify(spec: SystemSpec, seed: int, threads: int) -> dict:
-    dims = tuple(int(d) for d in spec.params.get("dims", (2, 3, 4)))
-    trials = int(spec.params.get("trials", 200))
+def _task_verify(spec: SystemSpec, seed: int) -> dict:
+    dims = spec.params.get("dims", [2, 3, 4])
+    if not isinstance(dims, (list, tuple)):
+        raise _fail("params.dims", "expected a list of dimensions")
+    dims = tuple(_dimension(d, f"params.dims[{i}]") for i, d in enumerate(dims))
+    trials = _int_param(spec.params, "trials", 200)
     outcome = run_property_suite(dims=dims, trials=trials, seed=seed)
     families = {
         name: {
@@ -494,16 +573,16 @@ _DISPATCH = {
 }
 
 
-def run_task(spec: SystemSpec, seed: int | None = None, threads: int = 1) -> ResultRecord:
+def run_task(spec: SystemSpec, seed: int | None = None) -> ResultRecord:
     """Dispatch one validated spec; deterministic under a fixed seed."""
     t0 = time.monotonic()
-    seed = int(spec.params.get("seed", 0)) if seed is None else int(seed)
-    body = _DISPATCH[spec.task](spec, seed, threads)
+    seed = _int_param(spec.params, "seed", 0) if seed is None else int(seed)
+    body = _DISPATCH[spec.task](spec, seed)
     return ResultRecord(
         task=spec.task,
         results=body["results"],
         series=body["series"],
-        provenance=defaults.provenance(seed=seed, threads=threads),
+        provenance=defaults.provenance(seed=seed),
         wall_time_s=time.monotonic() - t0,
     )
 

@@ -48,17 +48,22 @@ class KrausMap:
     label: object = None
 
     def __post_init__(self):
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise ValidationFailure("empty Kraus family")
-        mats = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        shape = mats[0].shape
-        if any(m.shape != shape for m in mats):
-            raise DimensionMismatch("Kraus elements of mixed shapes")
-        for m in mats:
-            if not np.isfinite(m).all():
-                raise ValidationFailure("Kraus element with non-finite entries")
-            m.setflags(write=False)
-        object.__setattr__(self, "kraus", mats)
+        # one read-only (count, dim_out, dim_in) stack; the stored elements are views of it
+        try:
+            stack = np.array(self.kraus, dtype=complex, order="C")
+        except ValueError as exc:
+            raise DimensionMismatch(f"Kraus elements of mixed shapes or types: {exc}") from None
+        if stack.ndim != 3 or 0 in stack.shape:
+            raise DimensionMismatch(
+                f"Kraus elements must be nonempty matrices, got shape {stack.shape[1:]}"
+            )
+        if not np.isfinite(stack).all():
+            raise ValidationFailure("Kraus element with non-finite entries")
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
         top = float(np.max(np.linalg.eigvalsh(self.unit_image)))
         if top > 1.0 + defaults.SUB_UNITALITY_TOL:
             raise ValidationFailure(f"map is not sub-unital: max eigenvalue {top:.12f}")
@@ -71,10 +76,16 @@ class KrausMap:
     def dim_out(self) -> int:
         return self.kraus[0].shape[0]
 
+    @property
+    def _rows(self) -> np.ndarray:
+        """The family stacked vertically, a (count * dim_out) x dim_in view."""
+        return self._stack.reshape(-1, self.dim_in)
+
     @cached_property
     def unit_image(self) -> np.ndarray:
         """zeta(I) = sum K^dag K, a dim_in x dim_in positive contraction."""
-        s = sum(dagger(k) @ k for k in self.kraus)
+        rows = self._rows
+        s = dagger(rows) @ rows
         return 0.5 * (s + dagger(s))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -84,7 +95,9 @@ class KrausMap:
             raise DimensionMismatch(
                 f"observable shape {x.shape}, expected ({self.dim_out}, {self.dim_out})"
             )
-        return sum(dagger(k) @ x @ k for k in self.kraus)
+        # sum K^dag (x K) = [K_1; ...; K_r]^dag [x K_1; ...; x K_r]
+        moved = (x @ self._stack).reshape(-1, self.dim_in)
+        return dagger(self._rows) @ moved
 
     def predual(self, rho: np.ndarray) -> np.ndarray:
         """Schroedinger action on a density of the input algebra."""
@@ -93,10 +106,23 @@ class KrausMap:
             raise DimensionMismatch(
                 f"density shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})"
             )
-        return sum(k @ rho @ dagger(k) for k in self.kraus)
+        # sum (K rho) K^dag = [K_1 rho, ..., K_r rho] [K_1, ..., K_r]^dag
+        moved = (self._rows @ rho).reshape(self._stack.shape)
+        return _side_by_side(moved) @ dagger(_side_by_side(self._stack))
 
     def relabel(self, label) -> "KrausMap":
         return KrausMap(self.kraus, label)
+
+
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """The (count, rows, cols) stack as one rows x (count * cols) block row."""
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+
+
+def _product_kraus(first: KrausMap, second: KrausMap) -> np.ndarray:
+    """Kraus stack {L @ K} of first-then-second, K-major."""
+    prod = second._stack[None, :, :, :] @ first._stack[:, None, :, :]
+    return prod.reshape(-1, second.dim_out, first.dim_in)
 
 
 def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:
@@ -110,11 +136,9 @@ def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:
 
 def choi_matrix(zeta_i: KrausMap) -> np.ndarray:
     """Choi matrix of the predual action; PSD exactly when the map is CP."""
-    d_in, d_out = zeta_i.dim_in, zeta_i.dim_out
-    j = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for k in zeta_i.kraus:
-        v = k.T.reshape(-1)
-        j += np.outer(v, v.conj())
+    # rows are vec(K^T); J = sum_k vec vec^dag = V^T conj(V)
+    vecs = zeta_i._stack.transpose(0, 2, 1).reshape(len(zeta_i.kraus), -1)
+    j = vecs.T @ vecs.conj()
     return 0.5 * (j + dagger(j))
 
 
@@ -122,15 +146,13 @@ def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int, label=None) -> 
     """Minimal Kraus family (at most dim_in * dim_out elements) from a Choi matrix."""
     w, v = spectral_decompose(as_hermitian(choi))
     w = clamp_psd_spectrum(w, tol=1e-8)
-    mats = []
     top = w[0] if w.size else 0.0
-    for lam, col in zip(w, v.T):
-        if lam <= 1e-14 * max(top, 1.0):
-            continue
-        mats.append(np.sqrt(lam) * col.reshape(dim_in, dim_out).T)
-    if not mats:
-        mats = [np.zeros((dim_out, dim_in), dtype=complex)]
-    return KrausMap(tuple(mats), label)
+    keep = w > 1e-14 * max(top, 1.0)
+    if not keep.any():
+        return KrausMap((np.zeros((dim_out, dim_in), dtype=complex),), label)
+    cols = v[:, keep] * np.sqrt(w[keep])
+    # column c is vec(K_c^T)
+    return KrausMap(cols.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1), label)
 
 
 def compress_kraus(zeta_i: KrausMap) -> KrausMap:
@@ -227,8 +249,7 @@ def compose(zeta: Partition, eta: Partition, compress: bool = True) -> Partition
     maps = []
     for mi in zeta.maps:
         for mj in eta.maps:
-            kraus = tuple(l @ k for k in mi.kraus for l in mj.kraus)
-            composite = KrausMap(kraus, label=(mi.label, mj.label))
+            composite = KrausMap(_product_kraus(mi, mj), label=(mi.label, mj.label))
             if compress:
                 composite = compress_kraus(composite)
             maps.append(composite)
@@ -303,9 +324,8 @@ def conjugate(theta: Automorphism, zeta: Partition) -> Partition:
     if theta.dim != zeta.dim_in or theta.dim != zeta.dim_out:
         raise DimensionMismatch("automorphism dimension does not match the partition")
     u = theta.unitary
-    maps = tuple(
-        KrausMap(tuple(u @ k @ dagger(u) for k in m.kraus), label=m.label) for m in zeta.maps
-    )
+    u_dag = dagger(u)
+    maps = tuple(KrausMap(u @ m._stack @ u_dag, label=m.label) for m in zeta.maps)
     return Partition(maps)
 
 

@@ -179,6 +179,7 @@ class DivergenceEngine:
         q = clamp_psd_spectrum(q)
         self._keep = q > cutoff * q[0]
         self._basis = v
+        self._basis_conj = v.conj()
         self._log_q = np.log(q[self._keep])
         self.smallest_retained = float(q[self._keep].min())
 
@@ -194,9 +195,9 @@ class DivergenceEngine:
         keep_p = p > self.cutoff * p[0]
         smallest_p = float(p[keep_p].min()) if keep_p.any() else 0.0
 
-        # the argument in the eigenbasis of the reference
-        v = self._basis
-        m = np.clip(np.real(np.einsum("ji,jk,ki->i", v.conj(), rho, v)), 0.0, None)
+        # the argument in the eigenbasis of the reference, Re diag(V^dag rho V):
+        # one GEMM for rho V, then a column-wise product-sum with conj(V)
+        m = np.clip((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0, None)
         off_mass = float(np.sum(m[~self._keep]))
         leak_tol = 16.0 * omega.dim * self.cutoff * max(1.0, float(p[0]))
         if off_mass > leak_tol:

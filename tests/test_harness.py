@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qde.cli import main
 from qde.errors import SpecFormatError
-from qde.harness import parse_spec, run_task, write_record
+from qde.harness import ResultRecord, parse_spec, run_task, write_record
 
 from conftest import LN2
 
@@ -218,3 +222,96 @@ def test_cli_capacity(tmp_path):
     assert main(["capacity", str(spec_path), "--n", "1", "--out", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "cap.result.json").read_text())
     assert abs(record["results"]["C_1"]) <= 1e-8
+
+
+def _cli_subprocess(args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "qde.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_cli_non_numeric_matrix_entry_fails_closed(tmp_path):
+    raw = info_spec()
+    raw["state"][0][0] = ["x", 0]
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(raw))
+    proc = _cli_subprocess(["run", str(spec_path)])
+    assert proc.returncode == 2
+    assert "state[0][0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_non_numeric_param_fails_closed(tmp_path):
+    raw = info_spec()
+    raw["task"] = "dynent"
+    raw["params"]["N"] = "six"
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(raw))
+    proc = _cli_subprocess(["run", str(spec_path)])
+    assert proc.returncode == 2
+    assert "params.N" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
+        (lambda raw: raw["state"][1].__setitem__(1, [0.5, None]), "state[1][1]"),
+        (lambda raw: raw["state"][0].__setitem__(0, [True, 0]), "state[0][0]"),
+        (lambda raw: raw["state"][0].__setitem__(0, [math.nan, 0]), "state[0][0]"),
+        (lambda raw: raw.__setitem__("algebra", {"blocks": ["2"]}), "algebra.blocks[0]"),
+        (lambda raw: raw["params"].__setitem__("support_cutoff", "tiny"), "params.support_cutoff"),
+        (lambda raw: raw["params"].__setitem__("seed", 1.5), "params.seed"),
+        (lambda raw: raw["params"].__setitem__("partition", ["zbasis"]), "params.partition"),
+        (lambda raw: raw.__setitem__("partitions", [raw["partitions"]["zbasis"]]), "partitions"),
+        (
+            lambda raw: raw.update(task="dynent", params={"partitions": "zbasis", "N": 2}),
+            "params.partitions",
+        ),
+    ],
+)
+def test_non_numeric_values_raise_spec_errors_with_paths(mutate, path):
+    raw = info_spec()
+    mutate(raw)
+    with pytest.raises(SpecFormatError) as err:
+        run_task(parse_spec(json.dumps(raw)))
+    assert err.value.path == path
+
+
+def test_record_is_strict_json_with_nonfinite_values():
+    record = ResultRecord(
+        task="info",
+        results={"H": math.inf, "gap": -math.inf, "bad": np.float64("nan"), "ok": 0.5},
+        series=[[1, math.inf], [2, np.array([math.nan, 1.0])]],
+        provenance={},
+        wall_time_s=0.0,
+    )
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(record.to_json(), parse_constant=reject)
+    assert data["results"] == {"H": "inf", "gap": "-inf", "bad": "nan", "ok": 0.5}
+    assert data["series"] == [[1, "inf"], [2, ["nan", 1.0]]]
+
+
+@pytest.mark.parametrize(
+    "raw,path",
+    [
+        (
+            {"task": "capacity", "channel": {"kind": "ensemble", "states": 3, "probs": [1.0]}},
+            "channel.states",
+        ),
+        ({"task": "capacity", "channel": {"kind": "depolarizing", "dim": 0}}, "channel.dim"),
+        ({"task": "classical", "classical": {"markov": [[0.5, 0.5], [1.0]]}}, "classical.markov"),
+        ({"task": "verify", "params": {"dims": [0], "trials": 1}}, "params.dims[0]"),
+    ],
+)
+def test_malformed_task_specs_raise_spec_errors_with_paths(raw, path):
+    with pytest.raises(SpecFormatError) as err:
+        run_task(parse_spec(json.dumps(dict(raw, schema_version="1"))))
+    assert err.value.path == path
