@@ -31,15 +31,16 @@ from .errors import (
     ResourceCapExceeded,
     ValidationFailure,
 )
-from .linalg import dagger, frobenius, hermitian_basis
+from .linalg import frobenius, hermitian_basis
 from .partitions import (
     KrausMap,
     Partition,
+    choi_matrix,
     compose,
     partition_power,
     vn_partition,
 )
-from .states import StateFunctional, product_state, von_neumann_entropy
+from .states import StateFunctional, product_state, total_functional, von_neumann_entropy
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +57,12 @@ class Channel:
             raise ValidationFailure(f"channel is not unital (residual {unital:.3e})")
         if (self.code.dim_in, self.code.dim_out) != (self.total.dim_in, self.total.dim_out):
             raise DimensionMismatch("code and channel dimensions differ")
-        rng = np.random.default_rng(7)
-        d = self.total.dim_out
-        for _ in range(4):
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            x = g + dagger(g)
-            gap = frobenius(
-                sum(m.apply(x) for m in self.code.maps) - self.total.apply(x)
-            )
-            if gap > 1e-9 * max(1.0, frobenius(x)):
-                raise ValidationFailure(f"code does not sum to the channel (gap {gap:.3e})")
+        # the Choi matrix determines the map, so the code sums to the channel
+        # exactly when the Choi matrices do
+        total = choi_matrix(self.total)
+        gap = frobenius(sum(choi_matrix(m) for m in self.code.maps) - total)
+        if gap > 1e-9 * max(1.0, frobenius(total)):
+            raise ValidationFailure(f"code does not sum to the channel (gap {gap:.3e})")
 
     @classmethod
     def from_code(cls, code: Partition) -> "Channel":
@@ -265,6 +262,8 @@ class CapacityReport:
 
     Bounds come from evaluated measurements only, so the chain
     0 <= D_n <= C_n <= H_upper holds by construction up to floating noise.
+    `converged` is false when a search's best restart stopped at its
+    iteration or evaluation limit instead of meeting its tolerances.
     """
 
     n: int
@@ -274,10 +273,15 @@ class CapacityReport:
     H_upper: float
     searched: str
     trace: tuple
+    converged: bool
 
 
 def _search(objective, family: MeasurementFamily, config: OptimizerConfig):
-    """Deterministic multi-restart Nelder-Mead ascent; returns (value, params, trace)."""
+    """Deterministic multi-restart Nelder-Mead ascent.
+
+    Returns (value, params, trace, converged); converged is whether the best
+    restart met its tolerances, always true for a fixed list.
+    """
     nparams = family.parameter_count
     rng = np.random.default_rng(config.seed)
     starts = [np.zeros(nparams)]
@@ -290,7 +294,7 @@ def _search(objective, family: MeasurementFamily, config: OptimizerConfig):
 
     def run(start):
         if family.kind == "fixed-list":
-            return float(objective(start)), start, 1
+            return float(objective(start)), start, 1, True
         res = scipy.optimize.minimize(
             lambda x: -objective(x),
             start,
@@ -301,15 +305,15 @@ def _search(objective, family: MeasurementFamily, config: OptimizerConfig):
                 "fatol": 1e-11,
             },
         )
-        return float(-res.fun), np.asarray(res.x), int(res.nit)
+        return float(-res.fun), np.asarray(res.x), int(res.nit), bool(res.success)
 
     results = [run(s) for s in starts]
     trace = tuple(
-        {"restart": i, "value": v, "iterations": it} for i, (v, _, it) in enumerate(results)
+        {"restart": i, "value": v, "iterations": it} for i, (v, _, it, _) in enumerate(results)
     )
     best_idx = max(range(len(results)), key=lambda i: (results[i][0], -i))
-    value, params, _ = results[best_idx]
-    return value, params, trace
+    value, params, _, converged = results[best_idx]
+    return value, params, trace, converged
 
 
 def _prepare_level(phi: StateFunctional, channel: Channel, n: int, config: OptimizerConfig):
@@ -345,7 +349,7 @@ def _optimize(
     def objective(params):
         return _gain_from_parts(base, after, phi_n, channel_n, family.realize(params))[index]
 
-    value, params, trace = _search(objective, family, config)
+    value, params, trace, converged = _search(objective, family, config)
     gains = _gain_from_parts(base, after, phi_n, channel_n, family.realize(params))
     if which == "information":
         c_low, d_low = value, gains[1]
@@ -359,6 +363,7 @@ def _optimize(
         H_upper=h_upper,
         searched=which,
         trace=trace,
+        converged=converged,
     )
 
 
@@ -405,6 +410,7 @@ def merged_capacity_report(
         H_upper=rc.H_upper,
         searched="both",
         trace=rc.trace + rd.trace,
+        converged=rc.converged and rd.converged,
     )
 
 
@@ -428,6 +434,8 @@ def capacity_rate(
     measurements, so C_2 >= 2 C_1 - 2e-4 must hold; a violation is an
     optimizer failure and raises.
     """
+    if n_max < 1:
+        raise ValidationFailure(f"block length must be at least 1, got {n_max}")
     reports = {}
     prev_params = None
     for n in range(1, n_max + 1):
@@ -488,10 +496,7 @@ def holevo_quantity(phi: StateFunctional, channel: Channel) -> float:
     """chi = S(mean output) - sum_i p_i S(output_i); equals the code information
     on a full matrix algebra, and that identity is verified to 1e-8."""
     branches = channel.code.branch_preduals(phi)
-    total = branches[0]
-    for b in branches[1:]:
-        total = total + b
-    chi = von_neumann_entropy(total)
+    chi = von_neumann_entropy(total_functional(branches))
     for b in branches:
         p = b.weight
         if p <= defaults.WEIGHT_FLOOR:

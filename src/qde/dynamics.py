@@ -30,16 +30,8 @@ from .errors import (
     ValidationFailure,
 )
 from .linalg import BlockAlgebra, direct_sum, frobenius
-from .partitions import (
-    Automorphism,
-    KrausMap,
-    Partition,
-    _product_kraus,
-    compose,
-    compress_kraus,
-    conjugate,
-)
-from .states import DivergenceEngine, StateFunctional, relative_entropy
+from .partitions import Automorphism, Partition, compose, conjugate
+from .states import DivergenceEngine, StateFunctional, relative_entropy, total_functional
 
 
 @dataclass(frozen=True)
@@ -71,10 +63,7 @@ def information(
     if phi.dim != zeta.dim_in:
         raise DimensionMismatch(f"state dimension {phi.dim} vs partition input {zeta.dim_in}")
     branches = zeta.branch_preduals(phi)
-    total = branches[0]
-    for b in branches[1:]:
-        total = total + b
-    engine = DivergenceEngine(total, cutoff)
+    engine = DivergenceEngine(total_functional(branches), cutoff)
 
     weights = {}
     divergences = {}
@@ -124,9 +113,7 @@ def information_via_direct_sum(
     if phi.dim != zeta.dim_in:
         raise DimensionMismatch(f"state dimension {phi.dim} vs partition input {zeta.dim_in}")
     branches = zeta.branch_preduals(phi)
-    total = branches[0].density.copy()
-    for b in branches[1:]:
-        total = total + b.density
+    total = total_functional(branches).density
     algebra = BlockAlgebra(tuple(zeta.dim_out for _ in branches))
     first = direct_sum([b.density for b in branches])
     second = direct_sum([b.weight * total for b in branches])
@@ -154,6 +141,28 @@ def conditional_information(
     return joint - second
 
 
+def _past_joins(theta: Automorphism, zeta: Partition, depth: int):
+    """Yield past_n = past_{n-1} composed with theta^{-n}(zeta) for n = 1..depth.
+
+    past_n is the join of the n past transports, earliest factor first; its
+    outcome labels nest: (i_1, i_2) at n = 2, ((i_1, i_2), i_3) at n = 3.
+    """
+    past = None
+    for n in range(1, depth + 1):
+        step = conjugate(theta.power(-n), zeta)
+        past = step if past is None else compose(past, step)
+        yield past
+
+
+def _flat_word(label, n: int) -> tuple:
+    """The nested label of a depth-n join as the word (i_1, ..., i_n)."""
+    word = ()
+    for _ in range(n - 1):
+        label, last = label
+        word = (last,) + word
+    return (label,) + word
+
+
 def refinement(
     theta: Automorphism,
     zeta: Partition,
@@ -171,16 +180,8 @@ def refinement(
         raise ResourceCapExceeded(
             f"refinement would enumerate {count} branches, cap is {branch_cap}"
         )
-    factors = [conjugate(theta.power(-k), zeta) for k in range(1, n + 1)]
-    words = [(m, (m.label,)) for m in factors[0].maps]
-    for factor in factors[1:]:
-        extended = []
-        for acc, word in words:
-            for m in factor.maps:
-                composite = KrausMap(_product_kraus(acc, m), label=None)
-                extended.append((compress_kraus(composite), word + (m.label,)))
-        words = extended
-    return Partition(tuple(m.relabel(word) for m, word in words))
+    *_, joint = _past_joins(theta, zeta, n)
+    return Partition(tuple(m.relabel(_flat_word(m.label, n)) for m in joint.maps))
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,6 @@ def an_sequence(
     *,
     branch_cap: int = defaults.BRANCH_CAP,
     cutoff: float = defaults.SUPPORT_CUTOFF,
-    check_equivalence: bool = True,
 ) -> EntropySequence:
     """a_n = H_phi(zeta | past refinement of depth n) for n = 1..depth.
 
@@ -251,13 +251,10 @@ def an_sequence(
         )
 
     values = []
-    past = None
     transported = zeta  # theta^{n-1}(zeta) composed ... composed zeta
-    for n in range(1, depth + 1):
-        step = conjugate(theta.power(-n), zeta)
-        past = step if past is None else compose(past, step)
+    for n, past in enumerate(_past_joins(theta, zeta, depth), start=1):
         a_n = conditional_information(phi, zeta, past, cutoff)
-        if check_equivalence and invariant:
+        if invariant:
             if n > 1:
                 transported = compose(conjugate(theta.power(n - 1), zeta), transported)
             b_n = conditional_information(phi, conjugate(theta.power(n), zeta), transported, cutoff)

@@ -28,7 +28,6 @@ from .capacity import (
     depolarizing_channel,
     ensemble_channel,
     holevo_quantity,
-    merged_capacity_report,
     proportional_code_channel,
     unit_input_state,
 )
@@ -486,6 +485,8 @@ def _task_capacity(spec: SystemSpec, seed: int) -> dict:
             raise _fail("state", "capacity task needs a state")
         phi = spec.state
     n_max = _int_param(spec.params, "n", 1)
+    if n_max < 1:
+        raise _fail("params.n", f"expected a block length of at least 1, got {n_max}")
     config = OptimizerConfig(
         restarts=_int_param(spec.params, "restarts", 20),
         max_iterations=_int_param(spec.params, "max_iterations", 500),
@@ -493,18 +494,13 @@ def _task_capacity(spec: SystemSpec, seed: int) -> dict:
     )
     results = {"chi": holevo_quantity(phi, channel)}
     series = []
-    if n_max == 1:
-        report = merged_capacity_report(phi, channel, 1, config)
-        reports = {1: report}
-        results["superadditivity_residual"] = 0.0
-    else:
-        rate = capacity_rate(phi, channel, n_max, config)
-        reports = rate.reports
-        results["superadditivity_residual"] = rate.superadditivity_residual
-    for n, rep in reports.items():
+    rate = capacity_rate(phi, channel, n_max, config)
+    results["superadditivity_residual"] = rate.superadditivity_residual
+    for n, rep in rate.reports.items():
         results[f"C_{n}"] = rep.C_n_lower
         results[f"D_{n}"] = rep.D_n_lower
         results[f"H_upper_{n}"] = rep.H_upper
+        results[f"converged_{n}"] = rep.converged
         series.append([n, rep.C_n_lower / n])
     return {"results": results, "series": series}
 

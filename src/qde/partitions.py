@@ -134,12 +134,17 @@ def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:
     )
 
 
-def choi_matrix(zeta_i: KrausMap) -> np.ndarray:
-    """Choi matrix of the predual action; PSD exactly when the map is CP."""
+def _choi(stack: np.ndarray) -> np.ndarray:
+    """Choi matrix of the predual action of a (count, dim_out, dim_in) Kraus stack."""
     # rows are vec(K^T); J = sum_k vec vec^dag = V^T conj(V)
-    vecs = zeta_i._stack.transpose(0, 2, 1).reshape(len(zeta_i.kraus), -1)
+    vecs = stack.transpose(0, 2, 1).reshape(len(stack), -1)
     j = vecs.T @ vecs.conj()
     return 0.5 * (j + dagger(j))
+
+
+def choi_matrix(zeta_i: KrausMap) -> np.ndarray:
+    """Choi matrix of the predual action; PSD exactly when the map is CP."""
+    return _choi(zeta_i._stack)
 
 
 def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int, label=None) -> KrausMap:
@@ -155,11 +160,12 @@ def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int, label=None) -> 
     return KrausMap(cols.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1), label)
 
 
-def compress_kraus(zeta_i: KrausMap) -> KrausMap:
-    """Replace the Kraus family by a minimal one with the same action."""
-    if len(zeta_i.kraus) <= zeta_i.dim_in * zeta_i.dim_out:
-        return zeta_i
-    return kraus_from_choi(choi_matrix(zeta_i), zeta_i.dim_in, zeta_i.dim_out, zeta_i.label)
+def _minimal_map(stack: np.ndarray, label) -> KrausMap:
+    """The map of a Kraus stack, Choi-compressed when it has more than dim_in * dim_out elements."""
+    count, dim_out, dim_in = stack.shape
+    if count <= dim_in * dim_out:
+        return KrausMap(stack, label)
+    return kraus_from_choi(_choi(stack), dim_in, dim_out, label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,24 +242,23 @@ class Partition:
         return [predual_apply(m, omega) for m in self.maps]
 
 
-def compose(zeta: Partition, eta: Partition, compress: bool = True) -> Partition:
+def compose(zeta: Partition, eta: Partition) -> Partition:
     """Joint partition with zeta acting first in time.
 
-    Outcome (i, j) has Kraus family {L @ K}; its predual applies zeta_i then
-    eta_j to states.
+    Outcome (i, j) has Kraus family {L @ K}, replaced by a minimal family
+    when it has more than dim_in * dim_out elements; its predual applies
+    zeta_i then eta_j to states.  Each composite map is built once.
     """
     if eta.dim_in != zeta.dim_out:
         raise DimensionMismatch(
             f"cannot compose: second partition input {eta.dim_in} vs first output {zeta.dim_out}"
         )
-    maps = []
-    for mi in zeta.maps:
-        for mj in eta.maps:
-            composite = KrausMap(_product_kraus(mi, mj), label=(mi.label, mj.label))
-            if compress:
-                composite = compress_kraus(composite)
-            maps.append(composite)
-    return Partition(tuple(maps))
+    maps = tuple(
+        _minimal_map(_product_kraus(mi, mj), (mi.label, mj.label))
+        for mi in zeta.maps
+        for mj in eta.maps
+    )
+    return Partition(maps)
 
 
 def tensor_partition(

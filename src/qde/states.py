@@ -107,11 +107,6 @@ class StateFunctional:
             raise ValidationFailure("negative scaling of a positive functional")
         return StateFunctional._trusted(factor * self.density, self.algebra)
 
-    def __add__(self, other: "StateFunctional") -> "StateFunctional":
-        if self.dim != other.dim:
-            raise DimensionMismatch("adding functionals of different dimension")
-        return StateFunctional._trusted(self.density + other.density, self.algebra)
-
     def evaluate(self, observable: np.ndarray) -> float:
         """phi(x) = tr(rho x) for hermitian x."""
         x = np.asarray(observable, dtype=complex)
@@ -120,6 +115,17 @@ class StateFunctional:
                 f"observable shape {x.shape} vs density shape {self.density.shape}"
             )
         return float(np.real(np.trace(self.density @ x)))
+
+
+def total_functional(parts) -> StateFunctional:
+    """The sum of a nonempty family of functionals, built as one functional."""
+    parts = list(parts)
+    if not parts:
+        raise ValidationFailure("empty decomposition")
+    if any(part.dim != parts[0].dim for part in parts):
+        raise DimensionMismatch("adding functionals of different dimension")
+    densities = [part.density for part in parts]
+    return StateFunctional._trusted(sum(densities[1:], densities[0]), parts[0].algebra)
 
 
 def evaluate(phi: StateFunctional, observable: np.ndarray) -> float:
@@ -242,11 +248,7 @@ def donald_residual(parts, phi: StateFunctional) -> float:
     when any of the three quantities is infinite.
     """
     parts = list(parts)
-    if not parts:
-        raise ValidationFailure("empty decomposition")
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
+    total = total_functional(parts)
     s_total = relative_entropy(total, phi)
     s_inner = sum(relative_entropy(part, total) for part in parts)
     s_outer = sum(relative_entropy(part, phi) for part in parts)

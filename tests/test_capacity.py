@@ -251,6 +251,25 @@ def test_channel_rejects_nonunital():
         Channel(bad, Partition((KrausMap((0.9 * I2,)),)))
 
 
+def test_channel_rejects_code_that_does_not_sum_to_it():
+    with pytest.raises(ValidationFailure, match="code does not sum"):
+        Channel(KrausMap((I2,)), dephasing_channel(0.2).code)
+
+
+def test_capacity_rate_rejects_block_length_below_one():
+    for n_max in (0, -1):
+        with pytest.raises(ValidationFailure):
+            capacity_rate(unit_input_state(), orthogonal_ensemble(), n_max=n_max, config=FAST)
+
+
+def test_report_flags_a_search_stopped_at_its_iteration_limit():
+    phi = unit_input_state()
+    short = OptimizerConfig(restarts=1, max_iterations=5, seed=0)
+    generous = OptimizerConfig(restarts=1, max_iterations=2000, seed=0)
+    assert not merged_capacity_report(phi, zero_plus_ensemble(), 1, short).converged
+    assert merged_capacity_report(phi, zero_plus_ensemble(), 1, generous).converged
+
+
 def test_block_cap_guard():
     with pytest.raises(ResourceCapExceeded):
         optimize_Cn(unit_input_state(), orthogonal_ensemble(), 3, FAST)
@@ -261,6 +280,7 @@ def test_fixed_list_family():
     fam = MeasurementFamily.fixed_list([z_measurement(), x_measurement()])
     rep = optimize_Dn(phi, orthogonal_ensemble(), 1, FAST, family=fam)
     assert rep.D_n_lower == pytest.approx(LN2, abs=1e-12)
+    assert rep.converged
 
 
 def test_realized_measurements_validate(rng):

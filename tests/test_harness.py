@@ -315,3 +315,20 @@ def test_malformed_task_specs_raise_spec_errors_with_paths(raw, path):
     with pytest.raises(SpecFormatError) as err:
         run_task(parse_spec(json.dumps(dict(raw, schema_version="1"))))
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_cli_capacity_block_length_below_one_fails_closed(tmp_path, n):
+    raw = {
+        "schema_version": "1",
+        "task": "capacity",
+        "channel": {"kind": "proportional", "weights": [0.5, 0.5], "dim": 2},
+        "state": cm(np.eye(2) / 2),
+        "params": {"n": n, "restarts": 1, "max_iterations": 5},
+    }
+    spec_path = tmp_path / "cap.json"
+    spec_path.write_text(json.dumps(raw))
+    proc = _cli_subprocess(["run", str(spec_path)])
+    assert proc.returncode == 2
+    assert "params.n" in proc.stderr
+    assert "Traceback" not in proc.stderr

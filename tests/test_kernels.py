@@ -117,7 +117,7 @@ def test_compose_kraus_order_is_l_after_k_k_major(rng):
     ls = unit_sum_kraus(rng, 2, 3)
     zeta = Partition((KrausMap((ks[0], ks[1]), "a"), KrausMap((ks[2],), "b")))
     eta = Partition((KrausMap((ls[0],), "x"), KrausMap((ls[1],), "y")))
-    joint = compose(zeta, eta, compress=False)
+    joint = compose(zeta, eta)
     assert joint.labels == (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
     for m in joint.maps:
         first = zeta.maps[zeta.labels.index(m.label[0])]

@@ -9,7 +9,6 @@ from qde.partitions import (
     Partition,
     choi_matrix,
     compose,
-    compress_kraus,
     conjugate,
     kraus_from_choi,
     pinching_invariant_partition,
@@ -278,17 +277,40 @@ def test_choi_round_trip(rng):
     assert len(rebuilt.kraus) <= m.dim_in * m.dim_out
 
 
+def _explicit_composite_predual(first, second, rho):
+    return sum(l @ k @ rho @ dagger(l @ k) for k in first.kraus for l in second.kraus)
+
+
 def test_compress_preserves_action(rng):
-    fam = tuple(
-        0.2 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(9)
-    )
-    total = sum(dagger(k) @ k for k in fam)
-    scale = np.sqrt(max(np.linalg.eigvalsh(total)))
-    m = KrausMap(tuple(k / scale for k in fam))
-    small = compress_kraus(m)
+    zeta = random_partition(rng, 2, 2, outcomes=1, kraus_per_map=3)
+    eta = random_partition(rng, 2, 2, outcomes=1, kraus_per_map=3)
+    (small,) = compose(zeta, eta).maps  # 9 products of 2x2 elements
     assert len(small.kraus) <= 4
     rho = np.diag([0.3, 0.7]).astype(complex)
-    assert np.linalg.norm(small.predual(rho) - m.predual(rho)) < 1e-10
+    expected = _explicit_composite_predual(zeta.maps[0], eta.maps[0], rho)
+    assert np.linalg.norm(small.predual(rho) - expected) < 1e-10
+
+
+def test_compose_builds_each_composite_once(rng, monkeypatch):
+    zeta = random_partition(rng, 2, 2, outcomes=2, kraus_per_map=3)
+    eta = random_partition(rng, 2, 2, outcomes=2, kraus_per_map=3)
+    validate = KrausMap.__post_init__
+    builds = []
+
+    def counting(self):
+        builds.append(self.label)
+        validate(self)
+
+    monkeypatch.setattr(KrausMap, "__post_init__", counting)
+    joint = compose(zeta, eta)
+    assert builds == [(i, j) for i in zeta.labels for j in eta.labels]
+    rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    for m in joint.maps:
+        assert len(m.kraus) <= 4  # 9 products, Choi-compressed
+        first = zeta.maps[zeta.labels.index(m.label[0])]
+        second = eta.maps[eta.labels.index(m.label[1])]
+        expected = _explicit_composite_predual(first, second, rho)
+        assert np.linalg.norm(m.predual(rho) - expected) < 1e-12
 
 
 def test_every_random_partition_validates(rng):
