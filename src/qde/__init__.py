@@ -44,7 +44,6 @@ from .dynamics import (
 from .capacity import (
     CapacityReport,
     Channel,
-    MeasurementFamily,
     OptimizerConfig,
     capacity_rate,
     capacity_sweep,
@@ -55,6 +54,7 @@ from .capacity import (
     information_gain,
     optimize_Cn,
     optimize_Dn,
+    projective_measurement,
     proportional_code_channel,
     unit_input_state,
 )

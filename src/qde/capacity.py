@@ -10,13 +10,12 @@ measurement eta on the output extracts about the code is
 both nonnegative and bounded by H(code).  The finite-block capacities C_n
 and D_n are suprema of I and Ic over measurements on the n-fold product
 output; this module reports certified lower bounds from a multi-restart
-simplex search over rotated projective measurements (optionally a fixed
-measurement list), with deterministic seeding.
+simplex search over rotated projective measurements, with deterministic
+seeding.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -191,49 +190,16 @@ def information_gain(
     return _gain_from_parts(base, after, phi, channel, eta)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementFamily:
-    """Searchable family of measurements on an output algebra.
+def projective_measurement(params: np.ndarray, basis) -> Partition:
+    """Rank-1 projective measurement in the standard basis rotated by exp(i H).
 
-    `projective-unitary-orbit` realizes the rotated standard basis through
-    exp(i H(params)) with H running over the traceless hermitian basis;
-    `fixed-list` indexes a user-supplied list of partitions.
+    H = sum_k params[k] basis[k], with `basis` the traceless hermitian basis
+    of the output algebra (`hermitian_basis(dim)`).
     """
-
-    kind: str
-    dim: int
-    partitions: tuple[Partition, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("projective-unitary-orbit", "fixed-list"):
-            raise ValidationFailure(f"unknown measurement family kind {self.kind!r}")
-        if self.kind == "fixed-list" and not self.partitions:
-            raise ValidationFailure("fixed-list family needs at least one partition")
-
-    @classmethod
-    def projective_orbit(cls, dim: int) -> "MeasurementFamily":
-        return cls("projective-unitary-orbit", dim)
-
-    @classmethod
-    def fixed_list(cls, partitions) -> "MeasurementFamily":
-        partitions = tuple(partitions)
-        return cls("fixed-list", partitions[0].dim_in, partitions)
-
-    @property
-    def parameter_count(self) -> int:
-        if self.kind == "fixed-list":
-            return 1
-        return self.dim * self.dim - 1
-
-    def realize(self, params: np.ndarray) -> Partition:
-        if self.kind == "fixed-list":
-            idx = int(round(float(np.atleast_1d(params)[0]))) % len(self.partitions)
-            return self.partitions[idx]
-        basis = hermitian_basis(self.dim)
-        gen = sum(c * f for c, f in zip(np.asarray(params, dtype=float), basis))
-        u = scipy.linalg.expm(1j * gen)
-        projs = [np.outer(u[:, k], u[:, k].conj()) for k in range(self.dim)]
-        return vn_partition(projs)
+    gen = sum(c * f for c, f in zip(np.asarray(params, dtype=float), basis))
+    u = scipy.linalg.expm(1j * gen)
+    projs = [np.outer(u[:, k], u[:, k].conj()) for k in range(len(u))]
+    return vn_partition(projs)
 
 
 def product_parameters(params_a: np.ndarray, params_b: np.ndarray, dim: int) -> np.ndarray:
@@ -252,7 +218,6 @@ class OptimizerConfig:
     restarts: int = 20
     max_iterations: int = 500
     seed: int = 0
-    allow_large_blocks: bool = False
     extra_initial_points: tuple = ()
 
 
@@ -271,30 +236,24 @@ class CapacityReport:
     D_n_lower: float
     best_measurement_parameters: dict
     H_upper: float
-    searched: str
     trace: tuple
     converged: bool
 
 
-def _search(objective, family: MeasurementFamily, config: OptimizerConfig):
+def _search(objective, nparams: int, config: OptimizerConfig):
     """Deterministic multi-restart Nelder-Mead ascent.
 
     Returns (value, params, trace, converged); converged is whether the best
-    restart met its tolerances, always true for a fixed list.
+    restart met its tolerances.
     """
-    nparams = family.parameter_count
     rng = np.random.default_rng(config.seed)
     starts = [np.zeros(nparams)]
     starts += [np.asarray(p, dtype=float) for p in config.extra_initial_points]
     starts += [
         rng.uniform(-np.pi, np.pi, size=nparams) for _ in range(max(config.restarts - 1, 0))
     ]
-    if family.kind == "fixed-list":
-        starts = [np.array([float(i)]) for i in range(len(family.partitions))]
 
     def run(start):
-        if family.kind == "fixed-list":
-            return float(objective(start)), start, 1, True
         res = scipy.optimize.minimize(
             lambda x: -objective(x),
             start,
@@ -316,15 +275,13 @@ def _search(objective, family: MeasurementFamily, config: OptimizerConfig):
     return value, params, trace, converged
 
 
-def _prepare_level(phi: StateFunctional, channel: Channel, n: int, config: OptimizerConfig):
+def _prepare_level(phi: StateFunctional, channel: Channel, n: int):
     if n < 1:
         raise ValidationFailure("block length must be at least 1")
     if n > 2:
-        if not config.allow_large_blocks:
-            raise ResourceCapExceeded(
-                f"block length {n} rejected by default (output dimension {channel.output_dim**n})"
-            )
-        warnings.warn(f"block length {n} enumerates dimension {channel.output_dim**n}", stacklevel=3)
+        raise ResourceCapExceeded(
+            f"block length {n} rejected (output dimension {channel.output_dim**n})"
+        )
     phi_n = state_power(phi, n)
     channel_n = channel_power(channel, n)
     h_upper = n * information(phi, channel.code).total_H
@@ -337,20 +294,19 @@ def _optimize(
     n: int,
     config: OptimizerConfig,
     which: str,
-    family: MeasurementFamily | None,
 ) -> CapacityReport:
-    phi_n, channel_n, h_upper = _prepare_level(phi, channel, n, config)
-    if family is None:
-        family = MeasurementFamily.projective_orbit(channel_n.output_dim)
+    phi_n, channel_n, h_upper = _prepare_level(phi, channel, n)
+    basis = hermitian_basis(channel_n.output_dim)
     index = 0 if which == "information" else 1
     base = information(phi_n, channel_n.code)
     after = channel_n.code.total_predual(phi_n)
 
     def objective(params):
-        return _gain_from_parts(base, after, phi_n, channel_n, family.realize(params))[index]
+        eta = projective_measurement(params, basis)
+        return _gain_from_parts(base, after, phi_n, channel_n, eta)[index]
 
-    value, params, trace, converged = _search(objective, family, config)
-    gains = _gain_from_parts(base, after, phi_n, channel_n, family.realize(params))
+    value, params, trace, converged = _search(objective, len(basis), config)
+    gains = _gain_from_parts(base, after, phi_n, channel_n, projective_measurement(params, basis))
     if which == "information":
         c_low, d_low = value, gains[1]
     else:
@@ -361,7 +317,6 @@ def _optimize(
         D_n_lower=d_low,
         best_measurement_parameters={which: params.tolist()},
         H_upper=h_upper,
-        searched=which,
         trace=trace,
         converged=converged,
     )
@@ -372,10 +327,9 @@ def optimize_Cn(
     channel: Channel,
     n: int = 1,
     config: OptimizerConfig = OptimizerConfig(),
-    family: MeasurementFamily | None = None,
 ) -> CapacityReport:
     """Lower bound on C_n: best total gain found, classical gain cross-evaluated."""
-    return _optimize(phi, channel, n, config, "information", family)
+    return _optimize(phi, channel, n, config, "information")
 
 
 def optimize_Dn(
@@ -383,10 +337,9 @@ def optimize_Dn(
     channel: Channel,
     n: int = 1,
     config: OptimizerConfig = OptimizerConfig(),
-    family: MeasurementFamily | None = None,
 ) -> CapacityReport:
     """Lower bound on D_n: best classical gain found, total gain cross-evaluated."""
-    return _optimize(phi, channel, n, config, "classical", family)
+    return _optimize(phi, channel, n, config, "classical")
 
 
 def merged_capacity_report(
@@ -394,11 +347,10 @@ def merged_capacity_report(
     channel: Channel,
     n: int = 1,
     config: OptimizerConfig = OptimizerConfig(),
-    family: MeasurementFamily | None = None,
 ) -> CapacityReport:
     """Run both searches and merge so each bound is the tightest one evaluated."""
-    rc = optimize_Cn(phi, channel, n, config, family)
-    rd = optimize_Dn(phi, channel, n, config, family)
+    rc = optimize_Cn(phi, channel, n, config)
+    rd = optimize_Dn(phi, channel, n, config)
     return CapacityReport(
         n=n,
         C_n_lower=max(rc.C_n_lower, rd.C_n_lower),
@@ -408,7 +360,6 @@ def merged_capacity_report(
             **rd.best_measurement_parameters,
         },
         H_upper=rc.H_upper,
-        searched="both",
         trace=rc.trace + rd.trace,
         converged=rc.converged and rd.converged,
     )
@@ -417,8 +368,6 @@ def merged_capacity_report(
 @dataclass(frozen=True)
 class CapacityRateReport:
     reports: dict
-    rates_C: dict
-    rates_D: dict
     superadditivity_residual: float
 
 
@@ -428,7 +377,7 @@ def capacity_rate(
     n_max: int = 2,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> CapacityRateReport:
-    """Per-block rates C_n/n and D_n/n with the product-measurement consistency check.
+    """Capacity reports for n = 1..n_max with the product-measurement consistency check.
 
     The n = 2 search is seeded with the product of the best n = 1
     measurements, so C_2 >= 2 C_1 - 2e-4 must hold; a violation is an
@@ -457,12 +406,7 @@ def capacity_rate(
             raise PropertyViolation(
                 f"C_2 fell below twice C_1 by {residual:.3e}; product seeding failed"
             )
-    return CapacityRateReport(
-        reports=reports,
-        rates_C={n: r.C_n_lower / n for n, r in reports.items()},
-        rates_D={n: r.D_n_lower / n for n, r in reports.items()},
-        superadditivity_residual=residual,
-    )
+    return CapacityRateReport(reports=reports, superadditivity_residual=residual)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,18 @@ class SystemSpec:
 
 def _fail(path: str, message: str) -> SpecFormatError:
     return SpecFormatError(path, message)
+
+
+@contextmanager
+def _at(path: str):
+    """Report a library error raised inside the block at the spec path `path`;
+    a SpecFormatError from a nested part passes through with its own path."""
+    try:
+        yield
+    except SpecFormatError:
+        raise
+    except QdeError as exc:
+        raise _fail(path, str(exc)) from exc
 
 
 _NUMBER_TYPES = (int, float)  # what JSON numbers decode to; bool is excluded
@@ -182,21 +195,17 @@ def _partition(obj, path: str) -> Partition:
         kraus = tuple(
             _matrix(k, f"{path}[{i}].kraus[{j}]") for j, k in enumerate(kraus_obj)
         )
-        try:
+        with _at(f"{path}[{i}]"):
             maps.append(KrausMap(kraus, label=label))
-        except QdeError as exc:
-            raise _fail(f"{path}[{i}]", str(exc)) from exc
-    try:
+    with _at(path):
         return Partition(tuple(maps))
-    except QdeError as exc:
-        raise _fail(path, str(exc)) from exc
 
 
 def _channel(obj, path: str) -> Channel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise _fail(path, "channel needs a 'kind'")
     kind = obj["kind"]
-    try:
+    with _at(path):
         if kind == "ensemble":
             states = obj.get("states")
             if not isinstance(states, list) or not states:
@@ -217,10 +226,6 @@ def _channel(obj, path: str) -> Channel:
             )
         if kind == "code":
             return Channel.from_code(_partition(obj.get("code"), f"{path}.code"))
-    except SpecFormatError:
-        raise
-    except QdeError as exc:
-        raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.kind", f"unknown channel kind {kind!r}")
 
 
@@ -228,36 +233,23 @@ def _classical(obj, path: str) -> ClassicalSystem:
     if not isinstance(obj, dict):
         raise _fail(path, "expected an object")
     space = functions = permutation = markov = None
-    try:
-        if "measure" in obj:
+    if "measure" in obj:
+        with _at(f"{path}.measure"):
             space = FiniteSpace(_vector(obj["measure"], f"{path}.measure"))
-        if "functions" in obj:
+    if "functions" in obj:
+        with _at(f"{path}.functions"):
             functions = FunctionPartition(_real_matrix(obj["functions"], f"{path}.functions"))
-        if "permutation" in obj:
-            perm = obj["permutation"]
-            if not isinstance(perm, list):
-                raise _fail(f"{path}.permutation", "expected a list of integers")
-            permutation = np.array(
-                [_integer(x, f"{path}.permutation[{i}]") for i, x in enumerate(perm)], dtype=int
-            )
-        if "markov" in obj:
+    if "permutation" in obj:
+        perm = obj["permutation"]
+        if not isinstance(perm, list):
+            raise _fail(f"{path}.permutation", "expected a list of integers")
+        permutation = np.array(
+            [_integer(x, f"{path}.permutation[{i}]") for i, x in enumerate(perm)], dtype=int
+        )
+    if "markov" in obj:
+        with _at(f"{path}.markov"):
             markov = SymbolicShift(_real_matrix(obj["markov"], f"{path}.markov"))
-    except SpecFormatError:
-        raise
-    except QdeError as exc:
-        raise _fail(f"{path}.{_classical_offender(exc)}", str(exc)) from exc
     return ClassicalSystem(space, functions, permutation, markov)
-
-
-def _classical_offender(exc) -> str:
-    text = str(exc)
-    if "stochastic" in text or "stationary" in text or "transition" in text:
-        return "markov"
-    if "squares" in text or "function" in text:
-        return "functions"
-    if "measure" in text:
-        return "measure"
-    return "permutation"
 
 
 def parse_spec(text: str) -> SystemSpec:
@@ -281,18 +273,14 @@ def parse_spec(text: str) -> SystemSpec:
         if not isinstance(blocks, list):
             raise _fail("algebra", "expected a list of block sizes")
         sizes = tuple(_dimension(b, f"algebra.blocks[{i}]") for i, b in enumerate(blocks))
-        try:
+        with _at("algebra"):
             algebra = BlockAlgebra(sizes)
-        except QdeError as exc:
-            raise _fail("algebra", str(exc)) from exc
 
     state = None
     if "state" in raw:
         density = _matrix(raw["state"], "state")
-        try:
+        with _at("state"):
             state = StateFunctional.from_density(density, algebra)
-        except QdeError as exc:
-            raise _fail("state", str(exc)) from exc
 
     partitions = {}
     if not isinstance(raw.get("partitions") or {}, dict):
@@ -303,10 +291,8 @@ def parse_spec(text: str) -> SystemSpec:
     unitary = None
     if "unitary" in raw:
         matrix = _matrix(raw["unitary"], "unitary")
-        try:
+        with _at("unitary"):
             unitary = Automorphism(matrix)
-        except QdeError as exc:
-            raise _fail("unitary", str(exc)) from exc
 
     classical = _classical(raw["classical"], "classical") if "classical" in raw else None
     channel = _channel(raw["channel"], "channel") if "channel" in raw else None

@@ -20,6 +20,7 @@ zeta and L from eta.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,7 +112,10 @@ class KrausMap:
         return _side_by_side(moved) @ dagger(_side_by_side(self._stack))
 
     def relabel(self, label) -> "KrausMap":
-        return KrausMap(self.kraus, label)
+        """The same validated map under another label, sharing its read-only stack."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "label", label)
+        return twin
 
 
 def _side_by_side(stack: np.ndarray) -> np.ndarray:
@@ -351,11 +355,6 @@ def vn_partition(projectors, labels=None) -> Partition:
     if labels is None:
         labels = range(len(projs))
     return Partition(tuple(KrausMap((p,), label=l) for p, l in zip(projs, labels)))
-
-
-def basis_projectors(vectors) -> list[np.ndarray]:
-    """Rank-1 projectors onto the given (orthonormal) vectors."""
-    return [np.outer(v, np.asarray(v).conj()) for v in vectors]
 
 
 def pinching_invariant_partition(

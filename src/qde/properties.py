@@ -421,42 +421,40 @@ class FamilyResult:
         return self.residual <= self.tolerance
 
 
+# (name, suite, tolerance, takes the dims argument, trial cap); suites
+# without dims draw from their own dimensions or finite spaces
 _SUITES = (
-    ("lower_bound", lower_bound_suite, 1e-8),
-    ("joint_convexity", joint_convexity_suite, 1e-8),
-    ("monotonicity", monotonicity_suite, 1e-8),
-    ("donald_identity", donald_suite, 1e-8),
-    ("scaling_identity", scaling_identity_suite, 1e-9),
-    ("decomposition_gap", decomposition_gap_suite, 1e-8),
-    ("tracial_commutant", tracial_commutant_suite, 1e-8),
-    ("direct_sum_agreement", direct_sum_agreement_suite, 1e-8),
-    ("split_identity", split_identity_suite, 1e-8),
-    ("subadditivity", subadditivity_suite, 1e-8),
-    ("conditional_monotonicity", conditional_monotonicity_suite, 1e-8),
-    ("classical_term", classical_term_suite, 1e-8),
-    ("quantum_term", quantum_term_suite, 1e-8),
-    ("conjugation_invariance", conjugation_invariance_suite, 1e-8),
-    ("an_certificate", an_certificate_suite, 1e-8),
-    ("classical_refinement", classical_refinement_suite, 1e-8),
-    ("classical_conditional_monotonicity", classical_conditional_monotonicity_suite, 1e-8),
-    ("classical_transport", classical_transport_suite, 1e-9),
-    ("classical_comparison", classical_comparison_suite, 1e-8),
-    ("embedding_agreement", embedding_agreement_suite, 1e-8),
+    ("lower_bound", lower_bound_suite, 1e-8, True, None),
+    ("joint_convexity", joint_convexity_suite, 1e-8, True, None),
+    ("monotonicity", monotonicity_suite, 1e-8, True, None),
+    ("donald_identity", donald_suite, 1e-8, True, None),
+    ("scaling_identity", scaling_identity_suite, 1e-9, True, None),
+    ("decomposition_gap", decomposition_gap_suite, 1e-8, True, None),
+    ("tracial_commutant", tracial_commutant_suite, 1e-8, True, None),
+    ("direct_sum_agreement", direct_sum_agreement_suite, 1e-8, True, None),
+    ("split_identity", split_identity_suite, 1e-8, True, None),
+    ("subadditivity", subadditivity_suite, 1e-8, True, None),
+    ("conditional_monotonicity", conditional_monotonicity_suite, 1e-8, True, None),
+    ("classical_term", classical_term_suite, 1e-8, True, None),
+    ("quantum_term", quantum_term_suite, 1e-8, True, None),
+    ("conjugation_invariance", conjugation_invariance_suite, 1e-8, True, None),
+    ("an_certificate", an_certificate_suite, 1e-8, False, 50),
+    ("classical_refinement", classical_refinement_suite, 1e-8, False, 100),
+    ("classical_conditional_monotonicity", classical_conditional_monotonicity_suite, 1e-8, False, 100),
+    ("classical_transport", classical_transport_suite, 1e-9, False, 100),
+    ("classical_comparison", classical_comparison_suite, 1e-8, False, 100),
+    ("embedding_agreement", embedding_agreement_suite, 1e-8, False, 100),
 )
 
 
 def run_property_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> dict:
     """Run every inequality family; returns {name: FamilyResult}."""
     results = {}
-    for name, fn, tol in _SUITES:
+    for name, fn, tol, takes_dims, cap in _SUITES:
         rng = np.random.default_rng(seed)
-        kwargs = {"trials": trials}
-        if "dims" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
+        kwargs = {"trials": trials if cap is None else min(trials, cap)}
+        if takes_dims:
             kwargs["dims"] = tuple(dims)
-        if name.startswith(("classical", "embedding")):
-            kwargs = {"trials": min(trials, 100)}
-        if name == "an_certificate":
-            kwargs = {"trials": min(trials, 50)}
         results[name] = FamilyResult(
             residual=float(fn(rng, **kwargs)), tolerance=tol, trials=kwargs["trials"]
         )

@@ -128,10 +128,6 @@ def total_functional(parts) -> StateFunctional:
     return StateFunctional._trusted(sum(densities[1:], densities[0]), parts[0].algebra)
 
 
-def evaluate(phi: StateFunctional, observable: np.ndarray) -> float:
-    return phi.evaluate(observable)
-
-
 def mix(a: StateFunctional, b: StateFunctional, lam: float) -> StateFunctional:
     """Convex combination (1-lam)*a + lam*b."""
     if a.dim != b.dim:

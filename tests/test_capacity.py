@@ -5,7 +5,6 @@ import pytest
 
 from qde.capacity import (
     Channel,
-    MeasurementFamily,
     OptimizerConfig,
     capacity_rate,
     dephasing_channel,
@@ -17,10 +16,12 @@ from qde.capacity import (
     optimize_Cn,
     optimize_Dn,
     product_parameters,
+    projective_measurement,
     proportional_code_channel,
     unit_input_state,
 )
 from qde.errors import ResourceCapExceeded, ValidationFailure
+from qde.linalg import hermitian_basis
 from qde.partitions import KrausMap, Partition, tensor_partition, vn_partition
 from qde.properties import random_invariant_state, random_partition
 from qde.states import StateFunctional, product_state
@@ -54,7 +55,7 @@ def test_gain_proportional_code_is_zero(rng):
     channel = proportional_code_channel([0.3, 0.7], 2)
     phi = StateFunctional.from_density(PLUS)
     for _ in range(5):
-        eta = MeasurementFamily.projective_orbit(2).realize(rng.uniform(-2, 2, 3))
+        eta = projective_measurement(rng.uniform(-2, 2, 3), hermitian_basis(2))
         gain, gain_c = information_gain(phi, channel, eta)
         assert gain == pytest.approx(0.0, abs=1e-10)
         assert gain_c == pytest.approx(0.0, abs=1e-10)
@@ -81,7 +82,7 @@ def test_gain_bounded_by_information(rng):
     phi = unit_input_state()
     bound = information(phi, channel.code).total_H
     for _ in range(10):
-        eta = MeasurementFamily.projective_orbit(2).realize(rng.uniform(-3, 3, 3))
+        eta = projective_measurement(rng.uniform(-3, 3, 3), hermitian_basis(2))
         gain, gain_c = information_gain(phi, channel, eta)
         assert -1e-10 <= gain_c <= gain + 1e-10
         assert gain <= bound + 1e-10
@@ -193,17 +194,18 @@ def test_capacity_rate_orthogonal_two_blocks():
     cfg = OptimizerConfig(restarts=4, max_iterations=250, seed=3)
     rate = capacity_rate(phi, orthogonal_ensemble(), n_max=2, config=cfg)
     assert rate.superadditivity_residual <= 2e-4
-    assert rate.rates_C[2] == pytest.approx(rate.rates_C[1], abs=2e-4)
-    assert rate.rates_C[1] == pytest.approx(LN2, abs=1e-4)
+    rates = {n: rep.C_n_lower / n for n, rep in rate.reports.items()}
+    assert rates[2] == pytest.approx(rates[1], abs=2e-4)
+    assert rates[1] == pytest.approx(LN2, abs=1e-4)
 
 
 def test_gain_additive_under_product_measurements(rng):
     channel = zero_plus_ensemble()
     phi = unit_input_state()
-    fam = MeasurementFamily.projective_orbit(2)
+    basis = hermitian_basis(2)
     for _ in range(3):
         pa, pb = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
-        eta_a, eta_b = fam.realize(pa), fam.realize(pb)
+        eta_a, eta_b = projective_measurement(pa, basis), projective_measurement(pb, basis)
         i_a, ic_a = information_gain(phi, channel, eta_a)
         i_b, ic_b = information_gain(phi, channel, eta_b)
         from qde.capacity import channel_power
@@ -217,8 +219,6 @@ def test_gain_additive_under_product_measurements(rng):
 
 def test_product_parameters_reproduce_tensor(rng):
     import scipy.linalg
-
-    from qde.linalg import hermitian_basis
 
     pa, pb = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
     basis = hermitian_basis(2)
@@ -276,20 +276,37 @@ def test_block_cap_guard():
 
 
 def test_fixed_list_family():
+    # a given list of measurements is evaluated, not searched
     phi = unit_input_state()
-    fam = MeasurementFamily.fixed_list([z_measurement(), x_measurement()])
-    rep = optimize_Dn(phi, orthogonal_ensemble(), 1, FAST, family=fam)
-    assert rep.D_n_lower == pytest.approx(LN2, abs=1e-12)
-    assert rep.converged
+    gains = [
+        information_gain(phi, orthogonal_ensemble(), eta)[1]
+        for eta in (z_measurement(), x_measurement())
+    ]
+    assert max(gains) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_realized_measurements_validate(rng):
     from qde.partitions import validate_partition
 
-    fam = MeasurementFamily.projective_orbit(3)
+    basis = hermitian_basis(3)
     for _ in range(3):
-        eta = fam.realize(rng.uniform(-2, 2, fam.parameter_count))
+        eta = projective_measurement(rng.uniform(-2, 2, len(basis)), basis)
         assert validate_partition(eta, samples=10).passed
+
+
+def test_search_builds_the_parameter_basis_once(monkeypatch):
+    import qde.capacity
+
+    calls = []
+
+    def counting_basis(dim, *args, **kwargs):
+        calls.append(dim)
+        return hermitian_basis(dim, *args, **kwargs)
+
+    monkeypatch.setattr(qde.capacity, "hermitian_basis", counting_basis)
+    cfg = OptimizerConfig(restarts=2, max_iterations=20, seed=0)
+    optimize_Dn(unit_input_state(), zero_plus_ensemble(), 1, cfg)
+    assert calls == [2]
 
 
 def test_capacity_sweep_lower_bounds():

@@ -195,6 +195,25 @@ def test_refinement_word_weights_sigma_x():
     assert sorted(weights.values()) == pytest.approx([0.0, 0.0, 0.5, 0.5])
 
 
+def test_refinement_validates_each_word_map_once(monkeypatch):
+    from qde.partitions import KrausMap
+
+    zeta, theta = z_partition(), Automorphism(SX)
+    validate = KrausMap.__post_init__
+    runs = []
+
+    def counting(self):
+        runs.append(self.label)
+        validate(self)
+
+    monkeypatch.setattr(KrausMap, "__post_init__", counting)
+    ref = refinement(theta, zeta, 4)
+    assert len(ref.maps) == 16
+    # 2 maps for each of the 4 conjugated factors and 4 + 8 + 16 composites;
+    # relabelling the words rebuilds none of them
+    assert len(runs) == 36
+
+
 def test_refinement_branch_cap():
     with pytest.raises(ResourceCapExceeded):
         refinement(Automorphism.identity(2), z_partition(), 13)

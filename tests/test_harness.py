@@ -309,6 +309,11 @@ def test_record_is_strict_json_with_nonfinite_values():
         ({"task": "capacity", "channel": {"kind": "depolarizing", "dim": 0}}, "channel.dim"),
         ({"task": "classical", "classical": {"markov": [[0.5, 0.5], [1.0]]}}, "classical.markov"),
         ({"task": "verify", "params": {"dims": [0], "trials": 1}}, "params.dims[0]"),
+        ({"task": "classical", "classical": {"measure": [0.5, 0.6]}}, "classical.measure"),
+        (
+            {"task": "classical", "classical": {"functions": [[1.0, 0.5], [0.0, 0.5]]}},
+            "classical.functions",
+        ),
     ],
 )
 def test_malformed_task_specs_raise_spec_errors_with_paths(raw, path):
@@ -332,3 +337,39 @@ def test_cli_capacity_block_length_below_one_fails_closed(tmp_path, n):
     assert proc.returncode == 2
     assert "params.n" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "classical,path",
+    [
+        ({"measure": [0.5, 0.6], "functions": [[1.0, 0.0], [0.0, 1.0]]}, "classical.measure"),
+        ({"measure": [0.5, 0.5], "functions": [[1.0, 0.5], [0.0, 0.5]]}, "classical.functions"),
+    ],
+)
+def test_cli_classical_spec_errors_fail_closed_at_their_path(tmp_path, classical, path):
+    raw = {"schema_version": "1", "task": "classical", "classical": classical}
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(raw))
+    proc = _cli_subprocess(["run", str(spec_path)])
+    assert proc.returncode == 2
+    assert f"{path}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_passes_dims_to_the_classical_term_suite(monkeypatch):
+    import qde.properties
+    from qde.properties import run_property_suite
+
+    draw = qde.properties._random_triple
+    seen = set()
+
+    def recording(rng, dims):
+        seen.add(tuple(dims))
+        return draw(rng, dims)
+
+    monkeypatch.setattr(qde.properties, "_random_triple", recording)
+    results = run_property_suite(dims=(2,), trials=3)
+    # classical_term, subadditivity, conditional_monotonicity and quantum_term
+    # all draw their triples from the requested dimensions
+    assert seen == {(2,)}
+    assert results["classical_term"].trials == 3
