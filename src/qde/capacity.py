@@ -236,14 +236,13 @@ class CapacityReport:
     D_n_lower: float
     best_measurement_parameters: dict
     H_upper: float
-    trace: tuple
     converged: bool
 
 
 def _search(objective, nparams: int, config: OptimizerConfig):
     """Deterministic multi-restart Nelder-Mead ascent.
 
-    Returns (value, params, trace, converged); converged is whether the best
+    Returns (value, params, converged); converged is whether the best
     restart met its tolerances.
     """
     rng = np.random.default_rng(config.seed)
@@ -264,28 +263,11 @@ def _search(objective, nparams: int, config: OptimizerConfig):
                 "fatol": 1e-11,
             },
         )
-        return float(-res.fun), np.asarray(res.x), int(res.nit), bool(res.success)
+        return float(-res.fun), np.asarray(res.x), bool(res.success)
 
     results = [run(s) for s in starts]
-    trace = tuple(
-        {"restart": i, "value": v, "iterations": it} for i, (v, _, it, _) in enumerate(results)
-    )
     best_idx = max(range(len(results)), key=lambda i: (results[i][0], -i))
-    value, params, _, converged = results[best_idx]
-    return value, params, trace, converged
-
-
-def _prepare_level(phi: StateFunctional, channel: Channel, n: int):
-    if n < 1:
-        raise ValidationFailure("block length must be at least 1")
-    if n > 2:
-        raise ResourceCapExceeded(
-            f"block length {n} rejected (output dimension {channel.output_dim**n})"
-        )
-    phi_n = state_power(phi, n)
-    channel_n = channel_power(channel, n)
-    h_upper = n * information(phi, channel.code).total_H
-    return phi_n, channel_n, h_upper
+    return results[best_idx]
 
 
 def _optimize(
@@ -295,17 +277,26 @@ def _optimize(
     config: OptimizerConfig,
     which: str,
 ) -> CapacityReport:
-    phi_n, channel_n, h_upper = _prepare_level(phi, channel, n)
+    if n < 1:
+        raise ValidationFailure("block length must be at least 1")
+    if n > 2:
+        raise ResourceCapExceeded(
+            f"block length {n} rejected (output dimension {channel.output_dim**n})"
+        )
+    phi_n = state_power(phi, n)
+    channel_n = channel_power(channel, n)
+    base = information(phi_n, channel_n.code)
+    # at n = 1 the powers are phi and channel themselves, so base is the code information
+    h_upper = base.total_H if n == 1 else n * information(phi, channel.code).total_H
     basis = hermitian_basis(channel_n.output_dim)
     index = 0 if which == "information" else 1
-    base = information(phi_n, channel_n.code)
     after = channel_n.code.total_predual(phi_n)
 
     def objective(params):
         eta = projective_measurement(params, basis)
         return _gain_from_parts(base, after, phi_n, channel_n, eta)[index]
 
-    value, params, trace, converged = _search(objective, len(basis), config)
+    value, params, converged = _search(objective, len(basis), config)
     gains = _gain_from_parts(base, after, phi_n, channel_n, projective_measurement(params, basis))
     if which == "information":
         c_low, d_low = value, gains[1]
@@ -317,7 +308,6 @@ def _optimize(
         D_n_lower=d_low,
         best_measurement_parameters={which: params.tolist()},
         H_upper=h_upper,
-        trace=trace,
         converged=converged,
     )
 
@@ -360,7 +350,6 @@ def merged_capacity_report(
             **rd.best_measurement_parameters,
         },
         H_upper=rc.H_upper,
-        trace=rc.trace + rd.trace,
         converged=rc.converged and rd.converged,
     )
 
@@ -420,13 +409,9 @@ class SweepReport:
     best_D_lower: float
 
 
-def capacity_sweep(
-    entries,
-    n: int = 1,
-    config: OptimizerConfig = OptimizerConfig(),
-) -> SweepReport:
-    """Evaluate merged capacity reports over explicit (state, channel) pairs."""
-    reports = tuple(merged_capacity_report(phi, ch, n, config) for phi, ch in entries)
+def capacity_sweep(entries, config: OptimizerConfig = OptimizerConfig()) -> SweepReport:
+    """Evaluate n = 1 merged capacity reports over explicit (state, channel) pairs."""
+    reports = tuple(merged_capacity_report(phi, ch, 1, config) for phi, ch in entries)
     if not reports:
         raise ValidationFailure("empty sweep")
     return SweepReport(

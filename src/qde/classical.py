@@ -53,9 +53,6 @@ class FiniteSpace:
     def uniform(cls, points: int) -> "FiniteSpace":
         return cls(np.full(points, 1.0 / points))
 
-    def expect(self, values: np.ndarray) -> float:
-        return float(self.measure @ values)
-
 
 @dataclass(frozen=True, eq=False)
 class FunctionPartition:
@@ -89,12 +86,12 @@ class FunctionPartition:
         return self.values.shape[1]
 
     @classmethod
-    def indicator(cls, cells, points: int, labels=None) -> "FunctionPartition":
+    def indicator(cls, cells, points: int) -> "FunctionPartition":
         """0/1 partition from a list of disjoint index cells covering the space."""
         table = np.zeros((len(cells), points))
         for row, cell in enumerate(cells):
             table[row, list(cell)] = 1.0
-        return cls(table, labels)
+        return cls(table)
 
 
 def _cells_entropy(mu: np.ndarray, squares) -> float:
@@ -173,13 +170,14 @@ def permutation_entropy_sequence(
     perm,
     zeta: FunctionPartition,
     depth: int,
-    branch_cap: int = defaults.BRANCH_CAP,
 ) -> EntropySequence:
     """Conditional informations of zeta given its n past transports under a permutation.
 
     Periodic dynamics exhaust themselves: the values reach zero once the past
     window covers a full period.
     """
+    if depth < 1:
+        raise ValidationFailure("depth must be at least 1")
     perm = _check_permutation(space, perm)
     mu = space.measure
     base = classical_information(space, zeta)
@@ -196,9 +194,9 @@ def permutation_entropy_sequence(
         if past is None:
             past = [row for row in shifted]
         else:
-            if len(past) * zeta.size > branch_cap:
+            if len(past) * zeta.size > defaults.BRANCH_CAP:
                 raise ResourceCapExceeded(
-                    f"refinement at depth {n} exceeds the {branch_cap} branch cap"
+                    f"refinement at depth {n} exceeds the {defaults.BRANCH_CAP} branch cap"
                 )
             past = [g2 * row for g2 in past for row in shifted]
             past = [g2 for g2 in past if float(mu @ g2) > 1e-15]
@@ -227,12 +225,11 @@ def partition_comparison_bound(
     zeta: FunctionPartition,
     eta: FunctionPartition,
     n: int,
-    branch_cap: int = defaults.BRANCH_CAP,
 ) -> ComparisonReport:
     """Check H(zeta_n) <= H(eta_n) + n H(zeta|eta) for the n-fold forward joins."""
     perm = _check_permutation(space, perm)
-    if zeta.size**n > branch_cap or eta.size**n > branch_cap:
-        raise ResourceCapExceeded(f"{n}-fold join exceeds the {branch_cap} branch cap")
+    if max(zeta.size, eta.size) ** n > defaults.BRANCH_CAP:
+        raise ResourceCapExceeded(f"{n}-fold join exceeds the {defaults.BRANCH_CAP} branch cap")
 
     def joined(partition: FunctionPartition) -> float:
         cells = [np.ones(space.size)]
@@ -264,7 +261,6 @@ class SymbolicShift:
 
     transition: np.ndarray
     stationary: np.ndarray = None
-    max_window: int = 12
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
@@ -321,7 +317,7 @@ class SymbolicShift:
 
     @property
     def max_window_size(self) -> int:
-        return self.alphabet_size**self.max_window
+        return self.alphabet_size**defaults.MAX_WINDOW
 
     def word_digits(self, length: int) -> np.ndarray:
         """Array of shape (length, s^length) giving coordinate k of each word."""
@@ -332,21 +328,15 @@ class SymbolicShift:
     def word_space(self, length: int) -> FiniteSpace:
         return FiniteSpace(self.cylinder_measures(length))
 
-    def coordinate_indicator(self, length: int, coords, cells=None) -> FunctionPartition:
-        """Indicator partition of words by the (cell classes of the) given coordinates."""
-        if cells is None:
-            cells = [[a] for a in range(self.alphabet_size)]
-        cell_of = np.empty(self.alphabet_size, dtype=int)
-        for c, members in enumerate(cells):
-            cell_of[list(members)] = c
+    def coordinate_indicator(self, length: int, coords) -> FunctionPartition:
+        """Indicator partition of words by their symbols at the given coordinates."""
+        s = self.alphabet_size
         digits = self.word_digits(length)
-        n_cells = len(cells)
         coords = list(coords)
         label_idx = np.zeros(digits.shape[1], dtype=int)
         for k in coords:
-            label_idx = label_idx * n_cells + cell_of[digits[k]]
-        count = n_cells ** len(coords)
-        table = np.zeros((count, digits.shape[1]))
+            label_idx = label_idx * s + digits[k]
+        table = np.zeros((s ** len(coords), digits.shape[1]))
         table[label_idx, np.arange(digits.shape[1])] = 1.0
         return FunctionPartition(table)
 
@@ -356,39 +346,24 @@ def _shannon(q: np.ndarray) -> float:
     return float(-np.sum(q * np.log(q)))
 
 
-def markov_entropy_sequence(
-    shift: SymbolicShift, cells=None, depth: int = 5
-) -> EntropySequence:
+def markov_entropy_sequence(shift: SymbolicShift, depth: int = 5) -> EntropySequence:
     """Windowed conditional entropies of the observed symbol given n past symbols.
 
-    Computed from exact cylinder measures; for a Markov source observed
-    through the full alphabet the value is -sum_ij pi_i P_ij ln P_ij at every
-    n >= 1.
+    Computed from exact cylinder measures; for a Markov source the value is
+    -sum_ij pi_i P_ij ln P_ij at every n >= 1.
     """
-    if cells is None:
-        cells = [[a] for a in range(shift.alphabet_size)]
-    cell_of = np.empty(shift.alphabet_size, dtype=int)
-    for c, members in enumerate(cells):
-        cell_of[list(members)] = c
-    n_cells = len(cells)
-
+    if depth < 1:
+        raise ValidationFailure("depth must be at least 1")
     values = []
-    base = None
     for n in range(1, depth + 1):
-        length = n + 1
-        m = shift.cylinder_measures(length)
-        digits = cell_of[shift.word_digits(length)]
-        idx_full = np.zeros(m.size, dtype=int)
-        for k in range(length):
-            idx_full = idx_full * n_cells + digits[k]
-        idx_past = np.zeros(m.size, dtype=int)
-        for k in range(length - 1):
-            idx_past = idx_past * n_cells + digits[k]
-        joint = np.bincount(idx_full, weights=m, minlength=n_cells**length)
-        past = np.bincount(idx_past, weights=m, minlength=n_cells ** (length - 1))
-        if base is None:
-            base = _shannon(np.bincount(digits[0], weights=m, minlength=n_cells))
-        values.append(_shannon(joint) - _shannon(past))
+        # words of length n + 1 in word order: the last symbol varies fastest,
+        # so the past marginal sums consecutive runs of alphabet_size words;
+        # summing the columns in turn adds each run left to right
+        m = shift.cylinder_measures(n + 1)
+        past = sum(m.reshape(-1, shift.alphabet_size).T)
+        if n == 1:
+            base = _shannon(past)
+        values.append(_shannon(m) - _shannon(past))
     return _sequence_from(values, base)
 
 

@@ -26,6 +26,12 @@ def _dims(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qde", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -33,19 +39,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the task declared in a spec file")
     run.add_argument("spec", help="path to a JSON system spec")
     run.add_argument("--out", default=None, help="directory for result files")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=_seed, default=None)
 
     verify = sub.add_parser("verify", help="run the randomized property suite")
     verify.add_argument("--dims", type=_dims, default="2,3,4", help="comma-separated dimensions")
     verify.add_argument("--trials", type=int, default=200)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--out", default=None)
 
     cap = sub.add_parser("capacity", help="finite-block capacity bounds for a spec")
     cap.add_argument("spec", help="path to a JSON system spec")
     cap.add_argument("--n", type=int, choices=(1, 2), default=1)
     cap.add_argument("--out", default=None)
-    cap.add_argument("--seed", type=int, default=None)
+    cap.add_argument("--seed", type=_seed, default=None)
     return parser
 
 
@@ -91,6 +97,10 @@ def main(argv=None) -> int:
 
         if args.command == "capacity":
             spec = _load_spec(args.spec)
+            if spec.task != "capacity":
+                raise SpecFormatError(
+                    "task", f"qde capacity needs a capacity spec, got {spec.task!r}"
+                )
             spec.params["n"] = args.n
             record = run_task(spec, seed=args.seed)
             _emit(record, args.out, os.path.splitext(os.path.basename(args.spec))[0])

@@ -24,6 +24,7 @@ WEIGHT_FLOOR = 1e-14
 # Resource caps
 TENSOR_DIM_CAP = 4096
 BRANCH_CAP = 4096
+MAX_WINDOW = 12   # longest Markov window: cylinder measures of alphabet_size**12 words
 
 # Dynamical-entropy sequence defaults
 DEFAULT_DEPTH = 6

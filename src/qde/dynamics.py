@@ -42,7 +42,6 @@ class InformationReport:
     classical_Hc: float
     quantum_Hq: float
     weights: dict
-    per_outcome_divergence: dict
     infinite_flag: bool
 
     @property
@@ -66,7 +65,6 @@ def information(
     engine = DivergenceEngine(total_functional(branches), cutoff)
 
     weights = {}
-    divergences = {}
     h_total = 0.0
     h_classical = 0.0
     h_quantum = 0.0
@@ -75,10 +73,8 @@ def information(
         p = branch.weight
         weights[m.label] = p
         if p <= defaults.WEIGHT_FLOOR:
-            divergences[m.label] = 0.0
             continue
         div = engine.value(branch.scale(1.0 / p))
-        divergences[m.label] = div
         if math.isinf(div):
             infinite = True
             continue
@@ -93,7 +89,6 @@ def information(
         classical_Hc=h_classical,
         quantum_Hq=h_quantum,
         weights=weights,
-        per_outcome_divergence=divergences,
         infinite_flag=infinite,
     )
 
@@ -124,20 +119,15 @@ def information_via_direct_sum(
     )
 
 
-def conditional_information(
-    phi: StateFunctional,
-    zeta: Partition,
-    eta: Partition,
-    cutoff: float = defaults.SUPPORT_CUTOFF,
-) -> float:
+def conditional_information(phi: StateFunctional, zeta: Partition, eta: Partition) -> float:
     """H_phi(zeta composed with eta) - H_{phi after zeta}(eta).
 
     Nonnegative for completely positive sub-unital partitions: the extra
     information carried by the first measurement given the second.
     """
-    joint = information(phi, compose(zeta, eta), cutoff).total_H
+    joint = information(phi, compose(zeta, eta)).total_H
     after = zeta.total_predual(phi)
-    second = information(after, eta, cutoff).total_H
+    second = information(after, eta).total_H
     return joint - second
 
 
@@ -163,12 +153,7 @@ def _flat_word(label, n: int) -> tuple:
     return (label,) + word
 
 
-def refinement(
-    theta: Automorphism,
-    zeta: Partition,
-    n: int,
-    branch_cap: int = defaults.BRANCH_CAP,
-) -> Partition:
+def refinement(theta: Automorphism, zeta: Partition, n: int) -> Partition:
     """Joint partition of the n past transports theta^{-1}(zeta) ... theta^{-n}(zeta).
 
     Outcomes are labeled by words (i_1, ..., i_n), earliest factor first.
@@ -176,9 +161,9 @@ def refinement(
     if n < 1:
         raise ValidationFailure("refinement depth must be at least 1")
     count = zeta.size**n
-    if count > branch_cap:
+    if count > defaults.BRANCH_CAP:
         raise ResourceCapExceeded(
-            f"refinement would enumerate {count} branches, cap is {branch_cap}"
+            f"refinement would enumerate {count} branches, cap is {defaults.BRANCH_CAP}"
         )
     *_, joint = _past_joins(theta, zeta, n)
     return Partition(tuple(m.relabel(_flat_word(m.label, n)) for m in joint.maps))
@@ -221,7 +206,6 @@ def an_sequence(
     depth: int = defaults.DEFAULT_DEPTH,
     *,
     branch_cap: int = defaults.BRANCH_CAP,
-    cutoff: float = defaults.SUPPORT_CUTOFF,
 ) -> EntropySequence:
     """a_n = H_phi(zeta | past refinement of depth n) for n = 1..depth.
 
@@ -239,7 +223,7 @@ def an_sequence(
         raise ResourceCapExceeded(
             f"depth {depth} would enumerate {count} branches, cap is {branch_cap}"
         )
-    base = information(phi, zeta, cutoff)
+    base = information(phi, zeta)
     if base.infinite_flag:
         raise ValidationFailure("the base information is infinite; the sequence is undefined")
     invariance_gap = frobenius(theta.predual(phi.density) - phi.density)
@@ -253,11 +237,11 @@ def an_sequence(
     values = []
     transported = zeta  # theta^{n-1}(zeta) composed ... composed zeta
     for n, past in enumerate(_past_joins(theta, zeta, depth), start=1):
-        a_n = conditional_information(phi, zeta, past, cutoff)
+        a_n = conditional_information(phi, zeta, past)
         if invariant:
             if n > 1:
                 transported = compose(conjugate(theta.power(n - 1), zeta), transported)
-            b_n = conditional_information(phi, conjugate(theta.power(n), zeta), transported, cutoff)
+            b_n = conditional_information(phi, conjugate(theta.power(n), zeta), transported)
             if abs(a_n - b_n) > 1e-8:
                 raise PropertyViolation(
                     f"transported conditional information disagrees at n={n}: "
@@ -268,15 +252,11 @@ def an_sequence(
 
 
 def admissibility_check(
-    phi: StateFunctional,
-    zeta: Partition,
-    depth: int = 3,
-    tol: float = defaults.ADMISSIBILITY_TOL,
-    **kwargs,
+    phi: StateFunctional, zeta: Partition, depth: int = 3
 ) -> tuple[bool, EntropySequence]:
     """True when the partition generates no information under trivial dynamics."""
-    seq = an_sequence(phi, Automorphism.identity(zeta.dim_in), zeta, depth, **kwargs)
-    return seq.h_estimate <= tol, seq
+    seq = an_sequence(phi, Automorphism.identity(zeta.dim_in), zeta, depth)
+    return seq.h_estimate <= defaults.ADMISSIBILITY_TOL, seq
 
 
 def invariance_check(phi: StateFunctional, zeta: Partition) -> float:
@@ -297,10 +277,9 @@ def convexity_probe(
     zeta: Partition,
     theta: Automorphism,
     depth: int = defaults.DEFAULT_DEPTH,
-    grid=(0.0, 0.25, 0.5, 0.75, 1.0),
-    **kwargs,
 ) -> ConvexityReport:
-    """Entropy estimates along the segment between two invariant states.
+    """Entropy estimates at lambda = 0, 1/4, 1/2, 3/4, 1 along the segment
+    between two invariant states.
 
     Reports the largest positive deviation of the estimate above the chord;
     convexity predicts none beyond numerical noise.
@@ -311,17 +290,8 @@ def convexity_probe(
         gap = frobenius(theta.predual(phi.density) - phi.density)
         if gap > defaults.INVARIANCE_TOL:
             raise ValidationFailure(f"{which} endpoint is not invariant (residual {gap:.3e})")
-    lambdas = tuple(float(l) for l in grid)
-    values = []
-    for lam in lambdas:
-        seq = an_sequence(mix(phi0, phi1, lam), theta, zeta, depth, **kwargs)
-        values.append(seq.h_estimate)
-    endpoints = dict(zip(lambdas, values))
-    h0 = endpoints.get(0.0)
-    if h0 is None:
-        h0 = an_sequence(phi0, theta, zeta, depth, **kwargs).h_estimate
-    h1 = endpoints.get(1.0)
-    if h1 is None:
-        h1 = an_sequence(phi1, theta, zeta, depth, **kwargs).h_estimate
+    lambdas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    values = [an_sequence(mix(phi0, phi1, lam), theta, zeta, depth).h_estimate for lam in lambdas]
+    h0, h1 = values[0], values[-1]
     above = max(v - ((1.0 - lam) * h0 + lam * h1) for lam, v in zip(lambdas, values))
     return ConvexityReport(lambdas, tuple(values), max(0.0, above))

@@ -125,8 +125,12 @@ def _dimension(value, path: str) -> int:
     return dim
 
 
-def _int_param(params: dict, key: str, default: int) -> int:
-    return _integer(params.get(key, default), f"params.{key}")
+def _int_param(params: dict, key: str, default: int, minimum: int = 1) -> int:
+    """The integer `params.<key>` (or its default), rejected below `minimum`."""
+    value = _integer(params.get(key, default), f"params.{key}")
+    if value < minimum:
+        raise _fail(f"params.{key}", f"expected an integer of at least {minimum}, got {value}")
+    return value
 
 
 def _matrix(obj, path: str) -> np.ndarray:
@@ -471,8 +475,6 @@ def _task_capacity(spec: SystemSpec, seed: int) -> dict:
             raise _fail("state", "capacity task needs a state")
         phi = spec.state
     n_max = _int_param(spec.params, "n", 1)
-    if n_max < 1:
-        raise _fail("params.n", f"expected a block length of at least 1, got {n_max}")
     config = OptimizerConfig(
         restarts=_int_param(spec.params, "restarts", 20),
         max_iterations=_int_param(spec.params, "max_iterations", 500),
@@ -558,7 +560,7 @@ _DISPATCH = {
 def run_task(spec: SystemSpec, seed: int | None = None) -> ResultRecord:
     """Dispatch one validated spec; deterministic under a fixed seed."""
     t0 = time.monotonic()
-    seed = _int_param(spec.params, "seed", 0) if seed is None else int(seed)
+    seed = _int_param(spec.params, "seed", 0, minimum=0) if seed is None else int(seed)
     body = _DISPATCH[spec.task](spec, seed)
     return ResultRecord(
         task=spec.task,

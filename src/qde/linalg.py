@@ -69,56 +69,52 @@ def clamp_psd_spectrum(w: np.ndarray, tol: float = defaults.NEGATIVE_EIGENVALUE_
     return np.clip(w, 0.0, None)
 
 
-def matrix_log_on_support(
-    a: np.ndarray, cutoff: float = defaults.SUPPORT_CUTOFF
-) -> tuple[np.ndarray, np.ndarray]:
+def matrix_log_on_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Operator logarithm restricted to the support of a PSD matrix.
 
-    Eigenvalues at or below `cutoff` (relative to the largest) are treated as
-    outside the support and contribute 0.  Returns (logarithm, support
-    projector).
+    Eigenvalues at or below `defaults.SUPPORT_CUTOFF` (relative to the
+    largest) are treated as outside the support and contribute 0.  Returns
+    (logarithm, support projector).
     """
-    if cutoff <= 0:
-        raise ValidationFailure("support cutoff must be positive")
     w, v = spectral_decompose(as_hermitian(a))
     w = clamp_psd_spectrum(w)
     if w.size == 0 or w[0] <= 0.0:
         z = np.zeros_like(a, dtype=complex)
         return z, z.copy()
-    keep = w > cutoff * w[0]
+    keep = w > defaults.SUPPORT_CUTOFF * w[0]
     vk = v[:, keep]
     log = (vk * np.log(w[keep])) @ dagger(vk)
     proj = vk @ dagger(vk)
     return 0.5 * (log + dagger(log)), 0.5 * (proj + dagger(proj))
 
 
-def power_on_support(a: np.ndarray, exponent: float, cutoff: float = defaults.SUPPORT_CUTOFF) -> np.ndarray:
+def power_on_support(a: np.ndarray, exponent: float) -> np.ndarray:
     """Spectral power of a PSD matrix, zero outside the support."""
     w, v = spectral_decompose(as_hermitian(a))
     w = clamp_psd_spectrum(w)
     if w.size == 0 or w[0] <= 0.0:
         return np.zeros_like(a, dtype=complex)
-    keep = w > cutoff * w[0]
+    keep = w > defaults.SUPPORT_CUTOFF * w[0]
     vk = v[:, keep]
     out = (vk * np.power(w[keep], exponent)) @ dagger(vk)
     return 0.5 * (out + dagger(out))
 
 
-def support_projection(a: np.ndarray, cutoff: float = defaults.SUPPORT_CUTOFF) -> np.ndarray:
+def support_projection(a: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD matrix."""
-    _, proj = matrix_log_on_support(a, cutoff)
+    _, proj = matrix_log_on_support(a)
     return proj
 
 
-def tensor(a: np.ndarray, b: np.ndarray, dim_cap: int = defaults.TENSOR_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a configurable size cap."""
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product, capped at `defaults.TENSOR_DIM_CAP` rows and columns."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > dim_cap:
+    if max(rows, cols) > defaults.TENSOR_DIM_CAP:
         raise ResourceCapExceeded(
-            f"tensor product dimension {rows}x{cols} exceeds cap {dim_cap}"
+            f"tensor product dimension {rows}x{cols} exceeds cap {defaults.TENSOR_DIM_CAP}"
         )
     return np.kron(a, b)
 
@@ -132,16 +128,13 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def hermitian_basis(dim: int, include_identity: bool = False) -> list[np.ndarray]:
+def hermitian_basis(dim: int) -> list[np.ndarray]:
     """Orthonormal (Hilbert-Schmidt) basis of traceless hermitian dim x dim matrices.
 
     Generalized Gell-Mann construction: symmetric and antisymmetric pair
-    matrices plus normalized diagonal ladder matrices.  With
-    `include_identity`, I/sqrt(dim) is prepended.
+    matrices plus normalized diagonal ladder matrices.
     """
     basis: list[np.ndarray] = []
-    if include_identity:
-        basis.append(np.eye(dim, dtype=complex) / np.sqrt(dim))
     for i in range(dim):
         for j in range(i + 1, dim):
             m = np.zeros((dim, dim), dtype=complex)

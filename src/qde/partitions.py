@@ -265,23 +265,21 @@ def compose(zeta: Partition, eta: Partition) -> Partition:
     return Partition(maps)
 
 
-def tensor_partition(
-    zeta1: Partition, zeta2: Partition, dim_cap: int = defaults.TENSOR_DIM_CAP
-) -> Partition:
+def tensor_partition(zeta1: Partition, zeta2: Partition) -> Partition:
     """Product measurement; outcome labels are pairs, Kraus factors Kronecker-multiplied."""
     maps = []
     for m1 in zeta1.maps:
         for m2 in zeta2.maps:
-            kraus = tuple(tensor(k1, k2, dim_cap) for k1 in m1.kraus for k2 in m2.kraus)
+            kraus = tuple(tensor(k1, k2) for k1 in m1.kraus for k2 in m2.kraus)
             maps.append(KrausMap(kraus, label=(m1.label, m2.label)))
     return Partition(tuple(maps))
 
 
-def partition_power(zeta: Partition, n: int, dim_cap: int = defaults.TENSOR_DIM_CAP) -> Partition:
+def partition_power(zeta: Partition, n: int) -> Partition:
     """n-fold tensor power with word labels."""
     out = zeta
     for _ in range(n - 1):
-        out = tensor_partition(out, zeta, dim_cap)
+        out = tensor_partition(out, zeta)
     return out
 
 
@@ -338,7 +336,7 @@ def conjugate(theta: Automorphism, zeta: Partition) -> Partition:
     return Partition(maps)
 
 
-def vn_partition(projectors, labels=None) -> Partition:
+def vn_partition(projectors) -> Partition:
     """Projective partition: each outcome acts as x -> P x P."""
     projs = [as_hermitian(p, tol=defaults.PROJECTOR_TOL) for p in projectors]
     if not projs:
@@ -352,14 +350,10 @@ def vn_partition(projectors, labels=None) -> Partition:
             raise ValidationFailure("projectors are not mutually orthogonal")
     if frobenius(sum(projs) - np.eye(dim)) > defaults.PROJECTOR_TOL:
         raise ValidationFailure("projectors do not sum to the identity")
-    if labels is None:
-        labels = range(len(projs))
-    return Partition(tuple(KrausMap((p,), label=l) for p, l in zip(projs, labels)))
+    return Partition(tuple(KrausMap((p,), label=i) for i, p in enumerate(projs)))
 
 
-def pinching_invariant_partition(
-    projectors, phi: StateFunctional, labels=None
-) -> Partition:
+def pinching_invariant_partition(projectors, phi: StateFunctional) -> Partition:
     """Measure-and-reprepare partition that leaves phi invariant.
 
     For projectors commuting with the density of phi, outcome i acts on
@@ -382,11 +376,9 @@ def pinching_invariant_partition(
             )
     if frobenius(sum(projs) - np.eye(dim)) > defaults.PROJECTOR_TOL:
         raise ValidationFailure("projectors do not sum to the identity")
-    if labels is None:
-        labels = range(len(projs))
 
     maps = []
-    for p, label in zip(projs, labels):
+    for label, p in enumerate(projs):
         weight = float(np.real(np.trace(rho @ p)))
         if weight > defaults.WEIGHT_FLOOR:
             sigma = (p @ rho @ p) / weight
@@ -426,7 +418,7 @@ class PartitionReport:
         )
 
 
-def validate_partition(zeta: Partition, samples: int = 50, seed: int = 0) -> PartitionReport:
+def validate_partition(zeta: Partition, samples: int = 50) -> PartitionReport:
     """Full validation report: unit sum, Choi positivity, sub-unitality, Schwarz check.
 
     The Schwarz check samples random complex x and records the minimum
@@ -438,7 +430,7 @@ def validate_partition(zeta: Partition, samples: int = 50, seed: int = 0) -> Par
     for m in zeta.maps:
         choi_mins.append(float(np.min(np.linalg.eigvalsh(choi_matrix(m)))))
         margins.append(1.0 - float(np.max(np.linalg.eigvalsh(m.unit_image))))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     d = zeta.dim_out
     schwartz = np.inf
     for _ in range(samples):

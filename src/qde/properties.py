@@ -46,15 +46,14 @@ from .states import (
 # instance generators
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dagger(g)
     return rho / np.real(np.trace(rho))
 
 
-def random_state(rng: np.random.Generator, dim: int, rank: int | None = None) -> StateFunctional:
-    return StateFunctional.from_density(random_density(rng, dim, rank))
+def random_state(rng: np.random.Generator, dim: int) -> StateFunctional:
+    return StateFunctional.from_density(random_density(rng, dim))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -86,9 +85,9 @@ def random_partition(
 
 
 def random_unital_map(
-    rng: np.random.Generator, dim_in: int, dim_out: int | None = None, kraus: int = 3
+    rng: np.random.Generator, dim_in: int, dim_out: int | None = None
 ) -> KrausMap:
-    part = random_partition(rng, dim_in, dim_out, outcomes=1, kraus_per_map=kraus)
+    part = random_partition(rng, dim_in, dim_out, outcomes=1, kraus_per_map=3)
     return part.maps[0]
 
 
@@ -156,12 +155,12 @@ def monotonicity_suite(rng, dims=(2, 3, 4), trials=200) -> float:
     return worst
 
 
-def donald_suite(rng, dims=(2, 3, 4), trials=200, parts=3) -> float:
+def donald_suite(rng, dims=(2, 3, 4), trials=200) -> float:
     worst = 0.0
     for t in range(trials):
         d = dims[t % len(dims)]
         phi = random_state(rng, d)
-        pieces = [random_state(rng, d).scale(rng.random() + 0.1) for _ in range(parts)]
+        pieces = [random_state(rng, d).scale(rng.random() + 0.1) for _ in range(3)]
         worst = max(worst, donald_residual(pieces, phi))
     return worst
 
@@ -178,14 +177,14 @@ def scaling_identity_suite(rng, dims=(2, 3, 4), trials=200) -> float:
     return worst
 
 
-def decomposition_gap_suite(rng, dims=(2, 3), trials=200, parts=3) -> float:
+def decomposition_gap_suite(rng, dims=(2, 3), trials=200) -> float:
     """Average divergence of a decomposition from its sum stays below the entropy."""
     worst = 0.0
     for t in range(trials):
         d = dims[t % len(dims)]
         phi = random_state(rng, d)
         sqrt_rho = power_on_support(phi.density, 0.5)
-        raw = [random_density(rng, d) * (rng.random() + 0.1) for _ in range(parts)]
+        raw = [random_density(rng, d) * (rng.random() + 0.1) for _ in range(3)]
         total = sum(raw)
         whiten = power_on_support(total, -0.5)
         pieces = [
@@ -307,7 +306,7 @@ def conjugation_invariance_suite(rng, dims=(2, 3, 4), trials=100) -> float:
     return worst
 
 
-def an_certificate_suite(rng, dims=(2, 3), trials=50, depth=5) -> float:
+def an_certificate_suite(rng, dims=(2, 3), trials=50) -> float:
     """Monotone, nonnegative, information-bounded conditional sequences on random
     invariant systems."""
     worst = 0.0
@@ -317,7 +316,7 @@ def an_certificate_suite(rng, dims=(2, 3), trials=50, depth=5) -> float:
         theta = Automorphism(u)
         phi = random_invariant_state(rng, u)
         zeta = random_partition(rng, d, d, outcomes=2, kraus_per_map=2)
-        seq = an_sequence(phi, theta, zeta, depth)
+        seq = an_sequence(phi, theta, zeta, 5)
         worst = max(worst, seq.monotonicity_residual)
         worst = max(worst, max(v - seq.information_bound for v in seq.values))
         worst = max(worst, max(-v for v in seq.values))
@@ -327,42 +326,44 @@ def an_certificate_suite(rng, dims=(2, 3), trials=50, depth=5) -> float:
 # ---------------------------------------------------------------------------
 # classical finite-space suites
 
+_POINTS = 4  # every finite-space suite draws its instances on 4 points
 
-def classical_refinement_suite(rng, points=4, trials=100) -> float:
+
+def classical_refinement_suite(rng, trials=100) -> float:
     """Joint information of two partitions dominates each single one."""
     worst = 0.0
     for _ in range(trials):
-        mu = rng.random(points) + 0.1
+        mu = rng.random(_POINTS) + 0.1
         space = FiniteSpace(mu / mu.sum())
-        zeta = random_function_partition(rng, points, cells=2)
-        eta = random_function_partition(rng, points, cells=2)
+        zeta = random_function_partition(rng, _POINTS, cells=2)
+        eta = random_function_partition(rng, _POINTS, cells=2)
         joint = classical_information(space, compose_function_partitions(zeta, eta))
         worst = max(worst, classical_information(space, zeta) - joint)
     return worst
 
 
-def classical_conditional_monotonicity_suite(rng, points=4, trials=100) -> float:
+def classical_conditional_monotonicity_suite(rng, trials=100) -> float:
     worst = 0.0
     for _ in range(trials):
-        mu = rng.random(points) + 0.1
+        mu = rng.random(_POINTS) + 0.1
         space = FiniteSpace(mu / mu.sum())
-        zeta = random_function_partition(rng, points, cells=2)
-        eta = random_function_partition(rng, points, cells=2)
-        beta = random_function_partition(rng, points, cells=2)
+        zeta = random_function_partition(rng, _POINTS, cells=2)
+        eta = random_function_partition(rng, _POINTS, cells=2)
+        beta = random_function_partition(rng, _POINTS, cells=2)
         longer = classical_conditional(space, zeta, compose_function_partitions(eta, beta))
         shorter = classical_conditional(space, zeta, eta)
         worst = max(worst, longer - shorter)
     return worst
 
 
-def classical_transport_suite(rng, points=4, trials=100) -> float:
+def classical_transport_suite(rng, trials=100) -> float:
     """Conditional information is unchanged by a measure-preserving permutation."""
     worst = 0.0
-    space = FiniteSpace.uniform(points)
+    space = FiniteSpace.uniform(_POINTS)
     for _ in range(trials):
-        perm = rng.permutation(points)
-        zeta = random_function_partition(rng, points, cells=2)
-        beta = random_function_partition(rng, points, cells=2)
+        perm = rng.permutation(_POINTS)
+        zeta = random_function_partition(rng, _POINTS, cells=2)
+        beta = random_function_partition(rng, _POINTS, cells=2)
         a = classical_conditional(space, zeta, beta)
         b = classical_conditional(
             space, transport_partition(zeta, perm), transport_partition(beta, perm)
@@ -371,25 +372,25 @@ def classical_transport_suite(rng, points=4, trials=100) -> float:
     return worst
 
 
-def classical_comparison_suite(rng, points=4, trials=100, n=3) -> float:
+def classical_comparison_suite(rng, trials=100) -> float:
     worst = 0.0
-    space = FiniteSpace.uniform(points)
+    space = FiniteSpace.uniform(_POINTS)
     for _ in range(trials):
-        perm = rng.permutation(points)
-        zeta = random_function_partition(rng, points, cells=2)
-        eta = random_function_partition(rng, points, cells=2)
-        worst = max(worst, partition_comparison_bound(space, perm, zeta, eta, n).residual)
+        perm = rng.permutation(_POINTS)
+        zeta = random_function_partition(rng, _POINTS, cells=2)
+        eta = random_function_partition(rng, _POINTS, cells=2)
+        worst = max(worst, partition_comparison_bound(space, perm, zeta, eta, 3).residual)
     return worst
 
 
-def embedding_agreement_suite(rng, points=4, trials=100) -> float:
+def embedding_agreement_suite(rng, trials=100) -> float:
     """Classical quantities equal their diagonal-embedded quantum counterparts."""
     worst = 0.0
     for _ in range(trials):
-        mu = rng.random(points) + 0.1
+        mu = rng.random(_POINTS) + 0.1
         space = FiniteSpace(mu / mu.sum())
-        zeta = random_function_partition(rng, points, cells=2)
-        eta = random_function_partition(rng, points, cells=2)
+        zeta = random_function_partition(rng, _POINTS, cells=2)
+        eta = random_function_partition(rng, _POINTS, cells=2)
         state, q_zeta = embed_diagonal(space, zeta)
         _, q_eta = embed_diagonal(space, eta)
         worst = max(

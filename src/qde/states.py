@@ -74,8 +74,8 @@ class StateFunctional:
         return cls(algebra, density)
 
     @classmethod
-    def diagonal(cls, probs, algebra: BlockAlgebra | None = None) -> "StateFunctional":
-        return cls.from_density(np.diag(np.asarray(probs, dtype=complex)), algebra)
+    def diagonal(cls, probs) -> "StateFunctional":
+        return cls.from_density(np.diag(np.asarray(probs, dtype=complex)))
 
     @classmethod
     def pure(cls, vector) -> "StateFunctional":
@@ -95,11 +95,8 @@ class StateFunctional:
     def weight(self) -> float:
         return float(np.real(np.trace(self.density)))
 
-    def is_normalized(self, tol: float = 1e-8) -> bool:
-        return abs(self.weight - 1.0) <= tol
-
     def require_normalized(self, what: str = "state") -> None:
-        if not self.is_normalized():
+        if not abs(self.weight - 1.0) <= 1e-8:  # a NaN weight fails too
             raise ValidationFailure(f"{what} has weight {self.weight:.12f}, expected 1")
 
     def scale(self, factor: float) -> "StateFunctional":

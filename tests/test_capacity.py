@@ -324,3 +324,31 @@ def test_capacity_sweep_lower_bounds():
     assert sweep.best_C_lower >= LN2 - 1e-6
     assert sweep.best_D_lower >= LN2 - 1e-6
     assert len(sweep.reports) == 2
+
+
+def test_merged_report_computes_the_n1_code_information_once_per_search(monkeypatch):
+    import qde.capacity
+
+    information, gain_from_parts = qde.capacity.information, qde.capacity._gain_from_parts
+    inside_gain = []
+    outside_calls = []
+
+    def counting_information(*args, **kwargs):
+        if not inside_gain:
+            outside_calls.append(args)
+        return information(*args, **kwargs)
+
+    def marked_gain(*args, **kwargs):
+        inside_gain.append(True)
+        try:
+            return gain_from_parts(*args, **kwargs)
+        finally:
+            inside_gain.pop()
+
+    monkeypatch.setattr(qde.capacity, "information", counting_information)
+    monkeypatch.setattr(qde.capacity, "_gain_from_parts", marked_gain)
+    cfg = OptimizerConfig(restarts=1, max_iterations=5, seed=0)
+    report = merged_capacity_report(unit_input_state(), zero_plus_ensemble(), 1, cfg)
+    # one base evaluation per search; H_upper reuses it
+    assert len(outside_calls) == 2
+    assert report.H_upper == information(unit_input_state(), zero_plus_ensemble().code).total_H

@@ -302,3 +302,11 @@ def test_permutation_matrix_and_validation():
         FiniteSpace(np.array([0.5, 0.6]))
     with pytest.raises(ValidationFailure):
         FunctionPartition(np.array([[1.0, 0.5], [0.0, 0.5]]))
+
+
+def test_sequences_reject_depth_below_one():
+    shift = SymbolicShift(np.array([[0.8, 0.2], [0.3, 0.7]]))
+    with pytest.raises(ValidationFailure):
+        markov_entropy_sequence(shift, depth=0)
+    with pytest.raises(ValidationFailure):
+        permutation_entropy_sequence(FiniteSpace.uniform(2), np.array([1, 0]), indicator2(), depth=0)

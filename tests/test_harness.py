@@ -373,3 +373,87 @@ def test_verify_passes_dims_to_the_classical_term_suite(monkeypatch):
     # all draw their triples from the requested dimensions
     assert seen == {(2,)}
     assert results["classical_term"].trials == 3
+
+
+def _cli_in_process(args, capsys):
+    """Exit code and captured output of the CLI run in this interpreter; an
+    uncaught exception (a traceback for a user) propagates and fails the test."""
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejects an argument
+        code = exc.code
+    return code, capsys.readouterr()
+
+
+def _capacity_params(**params):
+    return {
+        "schema_version": "1",
+        "task": "capacity",
+        "channel": {"kind": "proportional", "weights": [0.5, 0.5], "dim": 2},
+        "state": cm(np.eye(2) / 2),
+        "params": {"n": 1, "restarts": 1, "max_iterations": 5, **params},
+    }
+
+
+def _dynent_params(**params):
+    raw = info_spec()
+    raw["task"] = "dynent"
+    raw["params"].update(params)
+    return raw
+
+
+def _markov_params(**params):
+    return {
+        "schema_version": "1",
+        "task": "classical",
+        "classical": {"markov": [[0.9, 0.1], [0.1, 0.9]]},
+        "params": params,
+    }
+
+
+_VERIFY_SMALL = ["verify", "--dims", "2", "--trials", "1"]
+
+
+@pytest.mark.parametrize(
+    "spec,args,path",
+    [
+        (_markov_params(N=0), [], "params.N"),
+        (_markov_params(N=-2), [], "params.N"),
+        (_dynent_params(N=0), [], "params.N"),
+        (_dynent_params(branch_cap=-1), [], "params.branch_cap"),
+        (_capacity_params(restarts=0), [], "params.restarts"),
+        (_capacity_params(max_iterations=0), [], "params.max_iterations"),
+        (_capacity_params(seed=-1), [], "params.seed"),
+        (
+            {"schema_version": "1", "task": "verify", "params": {"trials": 1, "seed": -1}},
+            [],
+            "params.seed",
+        ),
+        (None, ["verify", "--trials", "0"], "params.trials"),
+        (None, ["verify", "--trials", "-3"], "params.trials"),
+        (None, [*_VERIFY_SMALL, "--seed", "-1"], "--seed"),
+        (_markov_params(N=2), ["--seed", "-1"], "--seed"),
+    ],
+    ids=[
+        "classical-N0", "classical-N-2", "dynent-N0", "dynent-branch_cap-1",
+        "capacity-restarts0", "capacity-max_iterations0", "capacity-seed-1", "verify-seed-1",
+        "verify--trials0", "verify--trials-3", "verify--seed-1", "run--seed-1",
+    ],
+)
+def test_cli_counts_and_seeds_below_their_minimum_fail_closed(tmp_path, capsys, spec, args, path):
+    if spec is not None:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        args = ["run", str(spec_path), *args]
+    code, captured = _cli_in_process(args, capsys)
+    assert code == 2
+    assert path in captured.err
+
+
+def test_cli_capacity_rejects_a_spec_of_another_task(tmp_path, capsys):
+    spec_path = tmp_path / "info.json"
+    spec_path.write_text(json.dumps(info_spec()))
+    code, captured = _cli_in_process(["capacity", str(spec_path), "--n", "2"], capsys)
+    assert code == 2
+    assert "task:" in captured.err
+    assert "task: info" not in captured.out
