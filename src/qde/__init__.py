@@ -43,7 +43,6 @@ from .dynamics import (
 )
 from .capacity import (
     CapacityReport,
-    Channel,
     OptimizerConfig,
     capacity_rate,
     capacity_sweep,

@@ -1,7 +1,9 @@
 """Channels, codes, measured information gain, and finite-block capacities.
 
-A channel is a unital completely positive map with a code: a partition of
-the channel into sub-channels (signal letters).  The information a
+A channel is given by its code: a partition (`Partition`) of the channel
+into sub-channels (signal letters) whose sum is the channel, so the code
+alone determines it; the partition's unit-sum check makes the sum unital.
+Every function here that takes a channel takes its code.  The information a
 measurement eta on the output extracts about the code is
 
     I(code | eta)  = H(code) + H_after(eta) - H(code then eta),
@@ -30,51 +32,9 @@ from .errors import (
     ResourceCapExceeded,
     ValidationFailure,
 )
-from .linalg import frobenius, hermitian_basis
-from .partitions import (
-    KrausMap,
-    Partition,
-    choi_matrix,
-    compose,
-    partition_power,
-    vn_partition,
-)
+from .linalg import as_hermitian, hermitian_basis
+from .partitions import KrausMap, Partition, compose, partition_power, vn_partition
 from .states import StateFunctional, product_state, total_functional, von_neumann_entropy
-
-
-@dataclass(frozen=True, eq=False)
-class Channel:
-    """Unital map together with a code decomposing it."""
-
-    total: KrausMap
-    code: Partition
-
-    def __post_init__(self):
-        eye = np.eye(self.total.dim_in)
-        unital = frobenius(self.total.unit_image - eye)
-        if unital > defaults.UNIT_SUM_TOL:
-            raise ValidationFailure(f"channel is not unital (residual {unital:.3e})")
-        if (self.code.dim_in, self.code.dim_out) != (self.total.dim_in, self.total.dim_out):
-            raise DimensionMismatch("code and channel dimensions differ")
-        # the Choi matrix determines the map, so the code sums to the channel
-        # exactly when the Choi matrices do
-        total = choi_matrix(self.total)
-        gap = frobenius(sum(choi_matrix(m) for m in self.code.maps) - total)
-        if gap > 1e-9 * max(1.0, frobenius(total)):
-            raise ValidationFailure(f"code does not sum to the channel (gap {gap:.3e})")
-
-    @classmethod
-    def from_code(cls, code: Partition) -> "Channel":
-        total = KrausMap(tuple(k for m in code.maps for k in m.kraus), label="total")
-        return cls(total, code)
-
-    @property
-    def input_dim(self) -> int:
-        return self.total.dim_in
-
-    @property
-    def output_dim(self) -> int:
-        return self.total.dim_out
 
 
 def unit_input_state() -> StateFunctional:
@@ -82,8 +42,8 @@ def unit_input_state() -> StateFunctional:
     return StateFunctional.from_density(np.eye(1, dtype=complex))
 
 
-def ensemble_channel(densities, probs) -> Channel:
-    """Preparation channel emitting density i with probability p_i.
+def ensemble_channel(densities, probs) -> Partition:
+    """Code of the preparation channel emitting density i with probability p_i.
 
     The input algebra is one-dimensional; letter i has Kraus columns
     sqrt(p_i * s_a) u_a over the spectral decomposition of its density.
@@ -91,9 +51,12 @@ def ensemble_channel(densities, probs) -> Channel:
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-10:
         raise ValidationFailure("ensemble probabilities must be nonnegative and sum to 1")
+    if len(densities) != len(probs):
+        raise DimensionMismatch(f"{len(densities)} densities but {len(probs)} probabilities")
     maps = []
     for i, (dens, p) in enumerate(zip(densities, probs)):
         rho = np.asarray(dens, dtype=complex)
+        as_hermitian(rho)  # square, finite and hermitian, else it raises
         tr = float(np.real(np.trace(rho)))
         if abs(tr - 1.0) > 1e-10:
             raise ValidationFailure(f"ensemble member {i} has trace {tr:.12f}")
@@ -106,7 +69,7 @@ def ensemble_channel(densities, probs) -> Channel:
         if not kraus:
             kraus = [np.zeros((rho.shape[0], 1), dtype=complex)]
         maps.append(KrausMap(tuple(kraus), label=i))
-    return Channel.from_code(Partition(tuple(maps)))
+    return Partition(tuple(maps))
 
 
 _PAULI = {
@@ -117,8 +80,8 @@ _PAULI = {
 }
 
 
-def depolarizing_channel(p: float, dim: int = 2) -> Channel:
-    """Depolarizing channel with its canonical code.
+def depolarizing_channel(p: float, dim: int = 2) -> Partition:
+    """Canonical code of the depolarizing channel.
 
     For a qubit the code is the four weighted Pauli conjugations; in general
     it splits into the surviving identity part and the trace part.
@@ -131,7 +94,7 @@ def depolarizing_channel(p: float, dim: int = 2) -> Channel:
             KrausMap((np.sqrt(w) * _PAULI[s],), label=s)
             for s, w in zip("ixyz", weights)
         )
-        return Channel.from_code(Partition(maps))
+        return Partition(maps)
     keep = KrausMap((np.sqrt(1.0 - p) * np.eye(dim, dtype=complex),), label="keep")
     units = []
     for j in range(dim):
@@ -139,29 +102,23 @@ def depolarizing_channel(p: float, dim: int = 2) -> Channel:
             e = np.zeros((dim, dim), dtype=complex)
             e[j, k] = np.sqrt(p / dim)
             units.append(e)
-    return Channel.from_code(Partition((keep, KrausMap(tuple(units), label="mix"))))
+    return Partition((keep, KrausMap(tuple(units), label="mix")))
 
 
-def dephasing_channel(p: float) -> Channel:
-    """Qubit phase-flip channel with the two-letter flip/no-flip code."""
+def dephasing_channel(p: float) -> Partition:
+    """Two-letter flip/no-flip code of the qubit phase-flip channel."""
     if not 0.0 <= p <= 1.0:
         raise ValidationFailure("dephasing strength must lie in [0, 1]")
     maps = (
         KrausMap((np.sqrt(1.0 - p) * _PAULI["i"],), label="keep"),
         KrausMap((np.sqrt(p) * _PAULI["z"],), label="flip"),
     )
-    return Channel.from_code(Partition(maps))
+    return Partition(maps)
 
 
-def proportional_code_channel(weights, dim: int) -> Channel:
-    """Identity channel with the proportional code; carries zero information."""
-    return Channel.from_code(Partition.proportional(weights, dim))
-
-
-def channel_power(channel: Channel, n: int) -> Channel:
-    if n == 1:
-        return channel
-    return Channel.from_code(partition_power(channel.code, n))
+def proportional_code_channel(weights, dim: int) -> Partition:
+    """Proportional code of the identity channel; carries zero information."""
+    return Partition.proportional(weights, dim)
 
 
 def state_power(phi: StateFunctional, n: int) -> StateFunctional:
@@ -171,9 +128,9 @@ def state_power(phi: StateFunctional, n: int) -> StateFunctional:
     return out
 
 
-def _gain_from_parts(base, after, phi, channel, eta):
+def _gain_from_parts(base, after, phi, code, eta):
     measured = information(after, eta)
-    joint = information(phi, compose(channel.code, eta))
+    joint = information(phi, compose(code, eta))
     if base.infinite_flag or measured.infinite_flag or joint.infinite_flag:
         raise ValidationFailure("information gain undefined: infinite divergence encountered")
     gain = base.total_H + measured.total_H - joint.total_H
@@ -182,12 +139,12 @@ def _gain_from_parts(base, after, phi, channel, eta):
 
 
 def information_gain(
-    phi: StateFunctional, channel: Channel, eta: Partition
+    phi: StateFunctional, code: Partition, eta: Partition
 ) -> tuple[float, float]:
     """(I, Ic): total and classical information the measurement gains about the code."""
-    base = information(phi, channel.code)
-    after = channel.code.total_predual(phi)
-    return _gain_from_parts(base, after, phi, channel, eta)
+    base = information(phi, code)
+    after = code.total_predual(phi)
+    return _gain_from_parts(base, after, phi, code, eta)
 
 
 def projective_measurement(params: np.ndarray, basis) -> Partition:
@@ -272,7 +229,7 @@ def _search(objective, nparams: int, config: OptimizerConfig):
 
 def _optimize(
     phi: StateFunctional,
-    channel: Channel,
+    code: Partition,
     n: int,
     config: OptimizerConfig,
     which: str,
@@ -281,23 +238,23 @@ def _optimize(
         raise ValidationFailure("block length must be at least 1")
     if n > 2:
         raise ResourceCapExceeded(
-            f"block length {n} rejected (output dimension {channel.output_dim**n})"
+            f"block length {n} rejected (output dimension {code.dim_out**n})"
         )
     phi_n = state_power(phi, n)
-    channel_n = channel_power(channel, n)
-    base = information(phi_n, channel_n.code)
-    # at n = 1 the powers are phi and channel themselves, so base is the code information
-    h_upper = base.total_H if n == 1 else n * information(phi, channel.code).total_H
-    basis = hermitian_basis(channel_n.output_dim)
+    code_n = partition_power(code, n)
+    base = information(phi_n, code_n)
+    # at n = 1 the powers are phi and code themselves, so base is the code information
+    h_upper = base.total_H if n == 1 else n * information(phi, code).total_H
+    basis = hermitian_basis(code_n.dim_out)
     index = 0 if which == "information" else 1
-    after = channel_n.code.total_predual(phi_n)
+    after = code_n.total_predual(phi_n)
 
     def objective(params):
         eta = projective_measurement(params, basis)
-        return _gain_from_parts(base, after, phi_n, channel_n, eta)[index]
+        return _gain_from_parts(base, after, phi_n, code_n, eta)[index]
 
     value, params, converged = _search(objective, len(basis), config)
-    gains = _gain_from_parts(base, after, phi_n, channel_n, projective_measurement(params, basis))
+    gains = _gain_from_parts(base, after, phi_n, code_n, projective_measurement(params, basis))
     if which == "information":
         c_low, d_low = value, gains[1]
     else:
@@ -314,33 +271,33 @@ def _optimize(
 
 def optimize_Cn(
     phi: StateFunctional,
-    channel: Channel,
+    code: Partition,
     n: int = 1,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> CapacityReport:
     """Lower bound on C_n: best total gain found, classical gain cross-evaluated."""
-    return _optimize(phi, channel, n, config, "information")
+    return _optimize(phi, code, n, config, "information")
 
 
 def optimize_Dn(
     phi: StateFunctional,
-    channel: Channel,
+    code: Partition,
     n: int = 1,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> CapacityReport:
     """Lower bound on D_n: best classical gain found, total gain cross-evaluated."""
-    return _optimize(phi, channel, n, config, "classical")
+    return _optimize(phi, code, n, config, "classical")
 
 
 def merged_capacity_report(
     phi: StateFunctional,
-    channel: Channel,
+    code: Partition,
     n: int = 1,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> CapacityReport:
     """Run both searches and merge so each bound is the tightest one evaluated."""
-    rc = optimize_Cn(phi, channel, n, config)
-    rd = optimize_Dn(phi, channel, n, config)
+    rc = optimize_Cn(phi, code, n, config)
+    rd = optimize_Dn(phi, code, n, config)
     return CapacityReport(
         n=n,
         C_n_lower=max(rc.C_n_lower, rd.C_n_lower),
@@ -362,7 +319,7 @@ class CapacityRateReport:
 
 def capacity_rate(
     phi: StateFunctional,
-    channel: Channel,
+    code: Partition,
     n_max: int = 2,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> CapacityRateReport:
@@ -383,9 +340,9 @@ def capacity_rate(
             for key in ("information", "classical"):
                 if key in prev_params:
                     p = np.asarray(prev_params[key])
-                    seeds.append(product_parameters(p, p, channel.output_dim))
+                    seeds.append(product_parameters(p, p, code.dim_out))
             cfg = replace(config, extra_initial_points=tuple(seeds))
-        report = merged_capacity_report(phi, channel, n, cfg)
+        report = merged_capacity_report(phi, code, n, cfg)
         reports[n] = report
         prev_params = report.best_measurement_parameters
     residual = 0.0
@@ -400,7 +357,7 @@ def capacity_rate(
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-entry capacity bounds over a user-supplied list of (state, channel)
+    """Per-entry capacity bounds over a user-supplied list of (state, code)
     candidates.  The best values bound the suprema over states and codes from
     below; they are never the suprema themselves."""
 
@@ -410,8 +367,8 @@ class SweepReport:
 
 
 def capacity_sweep(entries, config: OptimizerConfig = OptimizerConfig()) -> SweepReport:
-    """Evaluate n = 1 merged capacity reports over explicit (state, channel) pairs."""
-    reports = tuple(merged_capacity_report(phi, ch, 1, config) for phi, ch in entries)
+    """Evaluate n = 1 merged capacity reports over explicit (state, code) pairs."""
+    reports = tuple(merged_capacity_report(phi, code, 1, config) for phi, code in entries)
     if not reports:
         raise ValidationFailure("empty sweep")
     return SweepReport(
@@ -421,17 +378,17 @@ def capacity_sweep(entries, config: OptimizerConfig = OptimizerConfig()) -> Swee
     )
 
 
-def holevo_quantity(phi: StateFunctional, channel: Channel) -> float:
+def holevo_quantity(phi: StateFunctional, code: Partition) -> float:
     """chi = S(mean output) - sum_i p_i S(output_i); equals the code information
     on a full matrix algebra, and that identity is verified to 1e-8."""
-    branches = channel.code.branch_preduals(phi)
+    branches = code.branch_preduals(phi)
     chi = von_neumann_entropy(total_functional(branches))
     for b in branches:
         p = b.weight
         if p <= defaults.WEIGHT_FLOOR:
             continue
         chi -= p * von_neumann_entropy(b.scale(1.0 / p))
-    direct = information(phi, channel.code).total_H
+    direct = information(phi, code).total_H
     if abs(chi - direct) > 1e-8:
         raise PropertyViolation(
             f"Holevo quantity {chi:.12f} disagrees with the code information {direct:.12f}"

@@ -25,6 +25,7 @@ WEIGHT_FLOOR = 1e-14
 TENSOR_DIM_CAP = 4096
 BRANCH_CAP = 4096
 MAX_WINDOW = 12   # longest Markov window: cylinder measures of alphabet_size**12 words
+SEARCH_CAP = 10**6   # restarts * max_iterations allowed for one capacity search
 
 # Dynamical-entropy sequence defaults
 DEFAULT_DEPTH = 6

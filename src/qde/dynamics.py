@@ -52,17 +52,13 @@ class InformationReport:
         return abs(self.total_H - (self.classical_Hc + self.quantum_Hq))
 
 
-def information(
-    phi: StateFunctional,
-    zeta: Partition,
-    cutoff: float = defaults.SUPPORT_CUTOFF,
-) -> InformationReport:
+def information(phi: StateFunctional, zeta: Partition) -> InformationReport:
     """Information gained by the partition zeta in the state phi, in nats."""
     phi.require_normalized()
     if phi.dim != zeta.dim_in:
         raise DimensionMismatch(f"state dimension {phi.dim} vs partition input {zeta.dim_in}")
     branches = zeta.branch_preduals(phi)
-    engine = DivergenceEngine(total_functional(branches), cutoff)
+    engine = DivergenceEngine(total_functional(branches))
 
     weights = {}
     h_total = 0.0
@@ -93,11 +89,7 @@ def information(
     )
 
 
-def information_via_direct_sum(
-    phi: StateFunctional,
-    zeta: Partition,
-    cutoff: float = defaults.SUPPORT_CUTOFF,
-) -> float:
+def information_via_direct_sum(phi: StateFunctional, zeta: Partition) -> float:
     """Same quantity as a single relative entropy on the outcome-indexed direct sum.
 
     The branch functionals fill the blocks of one density, the reference
@@ -115,7 +107,6 @@ def information_via_direct_sum(
     return relative_entropy(
         StateFunctional._trusted(first, algebra),
         StateFunctional._trusted(second, algebra),
-        cutoff,
     )
 
 
@@ -153,6 +144,15 @@ def _flat_word(label, n: int) -> tuple:
     return (label,) + word
 
 
+def _word_count(outcomes: int, length: int, cap: int) -> int:
+    """outcomes**length when it is at most cap, else some number above cap.
+
+    With two or more outcomes the count passes cap before length passes the
+    bit length of cap, so a huge length never reaches the power.
+    """
+    return outcomes ** min(length, cap.bit_length() + 1)
+
+
 def refinement(theta: Automorphism, zeta: Partition, n: int) -> Partition:
     """Joint partition of the n past transports theta^{-1}(zeta) ... theta^{-n}(zeta).
 
@@ -160,10 +160,9 @@ def refinement(theta: Automorphism, zeta: Partition, n: int) -> Partition:
     """
     if n < 1:
         raise ValidationFailure("refinement depth must be at least 1")
-    count = zeta.size**n
-    if count > defaults.BRANCH_CAP:
+    if _word_count(zeta.size, n, defaults.BRANCH_CAP) > defaults.BRANCH_CAP:
         raise ResourceCapExceeded(
-            f"refinement would enumerate {count} branches, cap is {defaults.BRANCH_CAP}"
+            f"refinement would enumerate more than {defaults.BRANCH_CAP} branches"
         )
     *_, joint = _past_joins(theta, zeta, n)
     return Partition(tuple(m.relabel(_flat_word(m.label, n)) for m in joint.maps))
@@ -218,10 +217,9 @@ def an_sequence(
         raise DimensionMismatch("dynamics needs measurements on a single algebra")
     if depth < 1:
         raise ValidationFailure("depth must be at least 1")
-    count = zeta.size ** (depth + 1)
-    if count > branch_cap:
+    if _word_count(zeta.size, depth + 1, branch_cap) > branch_cap:
         raise ResourceCapExceeded(
-            f"depth {depth} would enumerate {count} branches, cap is {branch_cap}"
+            f"depth {depth} would enumerate more than {branch_cap} branches"
         )
     base = information(phi, zeta)
     if base.infinite_flag:

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import defaults
 from .capacity import (
-    Channel,
     OptimizerConfig,
     capacity_rate,
     dephasing_channel,
@@ -47,7 +46,7 @@ from .dynamics import (
     information_via_direct_sum,
     invariance_check,
 )
-from .errors import QdeError, SpecFormatError
+from .errors import QdeError, ResourceCapExceeded, SpecFormatError
 from .linalg import BlockAlgebra
 from .partitions import Automorphism, KrausMap, Partition
 from .properties import run_property_suite
@@ -67,14 +66,12 @@ class ClassicalSystem:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    schema_version: str
     task: str
-    algebra: BlockAlgebra | None
     state: StateFunctional | None
     partitions: dict
     unitary: Automorphism | None
     classical: ClassicalSystem | None
-    channel: Channel | None
+    channel: Partition | None  # a channel is given by its code
     params: dict
     raw: dict = field(repr=False, default=None)
 
@@ -122,6 +119,15 @@ def _dimension(value, path: str) -> int:
     dim = _integer(value, path)
     if dim < 1:
         raise _fail(path, f"expected a positive dimension, got {dim}")
+    return dim
+
+
+def _factor_dimension(value, path: str) -> int:
+    """A dimension that alone sizes the matrices built from it, capped so that
+    a map on it has a dim^2 x dim^2 Choi matrix within TENSOR_DIM_CAP."""
+    dim = _dimension(value, path)
+    if dim * dim > defaults.TENSOR_DIM_CAP:
+        raise _fail(path, f"dimension {dim} exceeds {math.isqrt(defaults.TENSOR_DIM_CAP)}")
     return dim
 
 
@@ -191,6 +197,8 @@ def _partition(obj, path: str) -> Partition:
         kraus_obj = entry
         if isinstance(entry, dict):
             label = entry.get("label", i)
+            if isinstance(label, (list, dict)):
+                raise _fail(f"{path}[{i}].label", "expected a string or a number")
             kraus_obj = entry.get("kraus")
             if kraus_obj is None:
                 raise _fail(f"{path}[{i}]", "map object needs a 'kraus' list")
@@ -205,7 +213,7 @@ def _partition(obj, path: str) -> Partition:
         return Partition(tuple(maps))
 
 
-def _channel(obj, path: str) -> Channel:
+def _channel(obj, path: str) -> Partition:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise _fail(path, "channel needs a 'kind'")
     kind = obj["kind"]
@@ -219,17 +227,17 @@ def _channel(obj, path: str) -> Channel:
         if kind == "depolarizing":
             return depolarizing_channel(
                 _number(obj.get("p", 0.5), f"{path}.p"),
-                _dimension(obj.get("dim", 2), f"{path}.dim"),
+                _factor_dimension(obj.get("dim", 2), f"{path}.dim"),
             )
         if kind == "dephasing":
             return dephasing_channel(_number(obj.get("p", 0.5), f"{path}.p"))
         if kind == "proportional":
             return proportional_code_channel(
                 _vector(obj.get("weights"), f"{path}.weights"),
-                _dimension(obj.get("dim", 2), f"{path}.dim"),
+                _factor_dimension(obj.get("dim", 2), f"{path}.dim"),
             )
         if kind == "code":
-            return Channel.from_code(_partition(obj.get("code"), f"{path}.code"))
+            return _partition(obj.get("code"), f"{path}.code")
     raise _fail(f"{path}.kind", f"unknown channel kind {kind!r}")
 
 
@@ -304,9 +312,7 @@ def parse_spec(text: str) -> SystemSpec:
     if not isinstance(params, dict):
         raise _fail("params", "expected an object")
     return SystemSpec(
-        schema_version=version,
         task=task,
-        algebra=algebra,
         state=state,
         partitions=partitions,
         unitary=unitary,
@@ -394,12 +400,11 @@ def _pick_partition(spec: SystemSpec, path="params.partition") -> Partition:
 def _task_info(spec: SystemSpec, seed: int) -> dict:
     if spec.state is None:
         raise _fail("state", "info task needs a state")
+    if "support_cutoff" in spec.params:
+        raise _fail("params.support_cutoff", "the cutoff is fixed at qde.defaults.SUPPORT_CUTOFF")
     zeta = _pick_partition(spec)
-    cutoff = _number(
-        spec.params.get("support_cutoff", defaults.SUPPORT_CUTOFF), "params.support_cutoff"
-    )
-    report = information(spec.state, zeta, cutoff)
-    direct = information_via_direct_sum(spec.state, zeta, cutoff)
+    report = information(spec.state, zeta)
+    direct = information_via_direct_sum(spec.state, zeta)
     results = {
         "H": report.total_H,
         "Hc": report.classical_Hc,
@@ -461,28 +466,25 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
 
 
 def _task_capacity(spec: SystemSpec, seed: int) -> dict:
-    if spec.channel is not None:
-        channel = spec.channel
-        phi = spec.state
-        if phi is None:
-            if channel.input_dim == 1:
-                phi = unit_input_state()
-            else:
-                raise _fail("state", "capacity task needs a state for this channel")
-    else:
-        channel = Channel.from_code(_pick_partition(spec))
-        if spec.state is None:
-            raise _fail("state", "capacity task needs a state")
-        phi = spec.state
+    code = spec.channel if spec.channel is not None else _pick_partition(spec)
+    phi = spec.state
+    if phi is None:
+        if code.dim_in != 1:
+            raise _fail("state", "capacity task needs a state for a code with input dimension > 1")
+        phi = unit_input_state()
     n_max = _int_param(spec.params, "n", 1)
     config = OptimizerConfig(
         restarts=_int_param(spec.params, "restarts", 20),
         max_iterations=_int_param(spec.params, "max_iterations", 500),
         seed=seed,
     )
-    results = {"chi": holevo_quantity(phi, channel)}
+    if config.restarts * config.max_iterations > defaults.SEARCH_CAP:
+        raise ResourceCapExceeded(
+            f"params.restarts * params.max_iterations exceeds the search cap {defaults.SEARCH_CAP}"
+        )
+    results = {"chi": holevo_quantity(phi, code)}
     series = []
-    rate = capacity_rate(phi, channel, n_max, config)
+    rate = capacity_rate(phi, code, n_max, config)
     results["superadditivity_residual"] = rate.superadditivity_residual
     for n, rep in rate.reports.items():
         results[f"C_{n}"] = rep.C_n_lower
@@ -525,7 +527,7 @@ def _task_verify(spec: SystemSpec, seed: int) -> dict:
     dims = spec.params.get("dims", [2, 3, 4])
     if not isinstance(dims, (list, tuple)):
         raise _fail("params.dims", "expected a list of dimensions")
-    dims = tuple(_dimension(d, f"params.dims[{i}]") for i, d in enumerate(dims))
+    dims = tuple(_factor_dimension(d, f"params.dims[{i}]") for i, d in enumerate(dims))
     trials = _int_param(spec.params, "trials", 200)
     outcome = run_property_suite(dims=dims, trials=trials, seed=seed)
     families = {

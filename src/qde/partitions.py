@@ -313,9 +313,6 @@ class Automorphism:
         # state transform of x -> u x u^dag is rho -> u^dag rho u
         return dagger(self.unitary) @ rho @ self.unitary
 
-    def transform_state(self, phi: StateFunctional) -> StateFunctional:
-        return StateFunctional._trusted(self.predual(phi.density), phi.algebra)
-
     def inverse(self) -> "Automorphism":
         return Automorphism(dagger(self.unitary))
 

@@ -31,7 +31,6 @@ from .partitions import (
     compose,
     conjugate,
     predual_apply,
-    vn_partition,
 )
 from .states import (
     StateFunctional,
@@ -89,11 +88,6 @@ def random_unital_map(
 ) -> KrausMap:
     part = random_partition(rng, dim_in, dim_out, outcomes=1, kraus_per_map=3)
     return part.maps[0]
-
-
-def random_projective_partition(rng: np.random.Generator, dim: int) -> Partition:
-    u = random_unitary(rng, dim)
-    return vn_partition([np.outer(u[:, k], u[:, k].conj()) for k in range(dim)])
 
 
 def random_invariant_state(rng: np.random.Generator, unitary: np.ndarray) -> StateFunctional:

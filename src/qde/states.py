@@ -164,19 +164,18 @@ class DivergenceReport:
 class DivergenceEngine:
     """Relative entropies against a fixed reference, eigendecomposed once.
 
-    The support of the reference keeps eigenvalues above cutoff * max;
+    The support of the reference keeps eigenvalues above SUPPORT_CUTOFF * max;
     argument mass outside it beyond the leak tolerance makes the value +inf.
     """
 
-    def __init__(self, phi: StateFunctional, cutoff: float = defaults.SUPPORT_CUTOFF):
+    def __init__(self, phi: StateFunctional):
         self.phi = phi
-        self.cutoff = cutoff
         self.degenerate = phi.weight <= defaults.WEIGHT_FLOOR
         if self.degenerate:
             return
         q, v = spectral_decompose(phi.density)
         q = clamp_psd_spectrum(q)
-        self._keep = q > cutoff * q[0]
+        self._keep = q > defaults.SUPPORT_CUTOFF * q[0]
         self._basis = v
         self._basis_conj = v.conj()
         self._log_q = np.log(q[self._keep])
@@ -191,14 +190,14 @@ class DivergenceEngine:
             return DivergenceReport(math.inf, omega.weight, 0.0, 0.0)
         rho = omega.density
         p = clamp_psd_spectrum(np.linalg.eigvalsh(rho)[::-1])
-        keep_p = p > self.cutoff * p[0]
+        keep_p = p > defaults.SUPPORT_CUTOFF * p[0]
         smallest_p = float(p[keep_p].min()) if keep_p.any() else 0.0
 
         # the argument in the eigenbasis of the reference, Re diag(V^dag rho V):
         # one GEMM for rho V, then a column-wise product-sum with conj(V)
         m = np.clip((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0, None)
         off_mass = float(np.sum(m[~self._keep]))
-        leak_tol = 16.0 * omega.dim * self.cutoff * max(1.0, float(p[0]))
+        leak_tol = 16.0 * omega.dim * defaults.SUPPORT_CUTOFF * max(1.0, float(p[0]))
         if off_mass > leak_tol:
             return DivergenceReport(math.inf, off_mass, self.smallest_retained, smallest_p)
 
@@ -212,21 +211,13 @@ class DivergenceEngine:
         return self.report(omega).value
 
 
-def relative_entropy_report(
-    omega: StateFunctional,
-    phi: StateFunctional,
-    cutoff: float = defaults.SUPPORT_CUTOFF,
-) -> DivergenceReport:
+def relative_entropy_report(omega: StateFunctional, phi: StateFunctional) -> DivergenceReport:
     """Trace-formula relative entropy of possibly sub-normalized functionals."""
-    return DivergenceEngine(phi, cutoff).report(omega)
+    return DivergenceEngine(phi).report(omega)
 
 
-def relative_entropy(
-    omega: StateFunctional,
-    phi: StateFunctional,
-    cutoff: float = defaults.SUPPORT_CUTOFF,
-) -> float:
-    return relative_entropy_report(omega, phi, cutoff).value
+def relative_entropy(omega: StateFunctional, phi: StateFunctional) -> float:
+    return relative_entropy_report(omega, phi).value
 
 
 def trace_distance(a: StateFunctional, b: StateFunctional) -> float:

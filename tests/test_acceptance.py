@@ -235,7 +235,7 @@ def test_criterion_9_capacity():
         mixed = ensemble_channel([P0, PLUS], [0.5, 0.5])
         chi = holevo_quantity(phi, mixed)
         assert abs(chi - 0.4165) <= 1e-4
-        assert abs(chi - information(phi, mixed.code).total_H) <= 1e-8
+        assert abs(chi - information(phi, mixed).total_H) <= 1e-8
         best_ic = -1.0
         rho = [P0, PLUS]
         for a in np.arange(0.0, math.pi / 2, 1e-4):

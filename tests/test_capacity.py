@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qde import defaults
 from qde.capacity import (
-    Channel,
     OptimizerConfig,
     capacity_rate,
     dephasing_channel,
@@ -22,11 +22,11 @@ from qde.capacity import (
 )
 from qde.errors import ResourceCapExceeded, ValidationFailure
 from qde.linalg import hermitian_basis
-from qde.partitions import KrausMap, Partition, tensor_partition, vn_partition
+from qde.partitions import Partition, partition_power, tensor_partition, vn_partition
 from qde.properties import random_invariant_state, random_partition
 from qde.states import StateFunctional, product_state
 
-from conftest import I2, LN2, MINUS, P0, P1, PLUS
+from conftest import LN2, MINUS, P0, P1, PLUS
 from oracles import shannon
 
 FAST = OptimizerConfig(restarts=6, max_iterations=300, seed=11)
@@ -80,7 +80,7 @@ def test_gain_bounded_by_information(rng):
 
     channel = zero_plus_ensemble()
     phi = unit_input_state()
-    bound = information(phi, channel.code).total_H
+    bound = information(phi, channel).total_H
     for _ in range(10):
         eta = projective_measurement(rng.uniform(-3, 3, 3), hermitian_basis(2))
         gain, gain_c = information_gain(phi, channel, eta)
@@ -180,10 +180,8 @@ def test_holevo_zero_plus():
 
 
 def test_holevo_single_outcome():
-    channel = Channel.from_code(Partition.trivial(2))
-    assert holevo_quantity(StateFunctional.from_density(PLUS), channel) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    chi = holevo_quantity(StateFunctional.from_density(PLUS), Partition.trivial(2))
+    assert chi == pytest.approx(0.0, abs=1e-12)
 
 
 # --- block length 2 ---------------------------------------------------------------
@@ -208,9 +206,7 @@ def test_gain_additive_under_product_measurements(rng):
         eta_a, eta_b = projective_measurement(pa, basis), projective_measurement(pb, basis)
         i_a, ic_a = information_gain(phi, channel, eta_a)
         i_b, ic_b = information_gain(phi, channel, eta_b)
-        from qde.capacity import channel_power
-
-        big = channel_power(channel, 2)
+        big = partition_power(channel, 2)
         phi2 = product_state(phi, phi)
         i_ab, ic_ab = information_gain(phi2, big, tensor_partition(eta_a, eta_b))
         assert i_ab == pytest.approx(i_a + i_b, abs=1e-8)
@@ -234,26 +230,16 @@ def test_product_parameters_reproduce_tensor(rng):
 
 
 def test_depolarizing_and_dephasing_are_channels(rng):
-    for channel in (
+    for code in (
         depolarizing_channel(0.3),
         depolarizing_channel(0.7, dim=3),
         dephasing_channel(0.25),
     ):
-        assert channel.total.dim_in == channel.total.dim_out
-        phi = random_invariant_state(rng, np.eye(channel.input_dim))
-        out = channel.code.total_predual(phi)
+        assert code.dim_in == code.dim_out
+        assert code.unit_sum_residual <= defaults.UNIT_SUM_TOL
+        phi = random_invariant_state(rng, np.eye(code.dim_in))
+        out = code.total_predual(phi)
         assert out.weight == pytest.approx(1.0, abs=1e-10)
-
-
-def test_channel_rejects_nonunital():
-    bad = KrausMap((0.9 * I2,))
-    with pytest.raises(ValidationFailure):
-        Channel(bad, Partition((KrausMap((0.9 * I2,)),)))
-
-
-def test_channel_rejects_code_that_does_not_sum_to_it():
-    with pytest.raises(ValidationFailure, match="code does not sum"):
-        Channel(KrausMap((I2,)), dephasing_channel(0.2).code)
 
 
 def test_capacity_rate_rejects_block_length_below_one():
@@ -351,4 +337,4 @@ def test_merged_report_computes_the_n1_code_information_once_per_search(monkeypa
     report = merged_capacity_report(unit_input_state(), zero_plus_ensemble(), 1, cfg)
     # one base evaluation per search; H_upper reuses it
     assert len(outside_calls) == 2
-    assert report.H_upper == information(unit_input_state(), zero_plus_ensemble().code).total_H
+    assert report.H_upper == information(unit_input_state(), zero_plus_ensemble()).total_H

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qde.cli import main
-from qde.errors import SpecFormatError
+from qde.errors import ResourceCapExceeded, SpecFormatError
 from qde.harness import ResultRecord, parse_spec, run_task, write_record
 
 from conftest import LN2
@@ -314,6 +314,39 @@ def test_record_is_strict_json_with_nonfinite_values():
             {"task": "classical", "classical": {"functions": [[1.0, 0.5], [0.0, 0.5]]}},
             "classical.functions",
         ),
+        (
+            {
+                "task": "capacity",
+                "channel": {"kind": "ensemble", "states": [[[[1, 0], [0, 0]]]], "probs": [1.0]},
+            },
+            "channel",
+        ),
+        (
+            {
+                "task": "capacity",
+                "channel": {
+                    "kind": "ensemble",
+                    "states": [cm(np.diag([1.0, 0.0])), cm(np.diag([0.0, 1.0]))],
+                    "probs": [1.0],
+                },
+            },
+            "channel",
+        ),
+        (
+            {
+                "task": "info",
+                "state": cm(np.eye(2) / 2),
+                "partitions": {
+                    "z": {"maps": [{"label": [], "kraus": [cm(np.eye(2))]}]},
+                },
+            },
+            "partitions.z.maps[0].label",
+        ),
+        (
+            {"task": "capacity", "channel": {"kind": "proportional", "weights": [1.0], "dim": 1e7}},
+            "channel.dim",
+        ),
+        ({"task": "verify", "params": {"dims": [65], "trials": 1}}, "params.dims[0]"),
     ],
 )
 def test_malformed_task_specs_raise_spec_errors_with_paths(raw, path):
@@ -457,3 +490,60 @@ def test_cli_capacity_rejects_a_spec_of_another_task(tmp_path, capsys):
     assert code == 2
     assert "task:" in captured.err
     assert "task: info" not in captured.out
+
+
+@pytest.mark.parametrize("cutoff", [2, -1, 1e-6])
+def test_cli_support_cutoff_is_rejected_at_its_path(tmp_path, capsys, cutoff):
+    raw = info_spec()
+    raw["params"]["support_cutoff"] = cutoff
+    spec_path = tmp_path / "info.json"
+    spec_path.write_text(json.dumps(raw))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 2
+    assert "params.support_cutoff:" in captured.err
+
+
+def _code_specs(code, state):
+    """One capacity problem given as a `code` channel and as a partition."""
+    params = {"n": 1, "restarts": 2, "max_iterations": 30, "seed": 4}
+    via_channel = {"task": "capacity", "channel": {"kind": "code", "code": code}, "params": params}
+    via_partition = {"task": "capacity", "partitions": {"code": code}, "params": params}
+    if state is not None:
+        via_channel["state"] = via_partition["state"] = cm(state)
+    return via_channel, via_partition
+
+
+@pytest.mark.parametrize(
+    "code,state",
+    [
+        # the two-letter dephasing code on a qubit state
+        (
+            [[cm(np.sqrt(0.8) * np.eye(2))], [cm(np.sqrt(0.2) * np.diag([1.0, -1.0]))]],
+            np.diag([0.6, 0.4]) + 0.1 * np.array([[0, 1], [1, 0]]),
+        ),
+        # a preparation code (one-dimensional input): no state needed
+        ([[cm(np.sqrt(0.5) * np.array([[1.0], [0.0]]))], [cm(0.5 * np.ones((2, 1)))]], None),
+    ],
+    ids=["dephasing", "preparation"],
+)
+def test_code_channel_and_partition_give_the_same_record(code, state):
+    records = []
+    for raw in _code_specs(code, state):
+        record = json.loads(run_task(parse_spec(json.dumps(raw))).to_json())
+        record.pop("wall_time_s")
+        records.append(json.dumps(record, sort_keys=True))
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _dynent_params(N=10**300),
+        _capacity_params(restarts=10**7),
+        _capacity_params(max_iterations=10**300),
+    ],
+    ids=["dynent-N", "capacity-restarts", "capacity-max_iterations"],
+)
+def test_huge_counts_hit_a_resource_cap_before_any_work(raw):
+    with pytest.raises(ResourceCapExceeded):
+        run_task(parse_spec(json.dumps(raw)))
