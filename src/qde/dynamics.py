@@ -144,13 +144,15 @@ def _flat_word(label, n: int) -> tuple:
     return (label,) + word
 
 
-def _word_count(outcomes: int, length: int, cap: int) -> int:
-    """outcomes**length when it is at most cap, else some number above cap.
+def _exceeds_branch_cap(outcomes: int, length: int) -> bool:
+    """Whether max(outcomes, 2)**length words exceed BRANCH_CAP.
 
-    With two or more outcomes the count passes cap before length passes the
-    bit length of cap, so a huge length never reaches the power.
+    At least two words per level give a one-outcome partition the depth
+    limit of a two-outcome one, and the count passes the cap before length
+    passes the cap's bit length, so a huge length never reaches the power.
     """
-    return outcomes ** min(length, cap.bit_length() + 1)
+    cap = defaults.BRANCH_CAP
+    return max(outcomes, 2) ** min(length, cap.bit_length() + 1) > cap
 
 
 def refinement(theta: Automorphism, zeta: Partition, n: int) -> Partition:
@@ -160,7 +162,7 @@ def refinement(theta: Automorphism, zeta: Partition, n: int) -> Partition:
     """
     if n < 1:
         raise ValidationFailure("refinement depth must be at least 1")
-    if _word_count(zeta.size, n, defaults.BRANCH_CAP) > defaults.BRANCH_CAP:
+    if _exceeds_branch_cap(zeta.size, n):
         raise ResourceCapExceeded(
             f"refinement would enumerate more than {defaults.BRANCH_CAP} branches"
         )
@@ -203,8 +205,6 @@ def an_sequence(
     theta: Automorphism,
     zeta: Partition,
     depth: int = defaults.DEFAULT_DEPTH,
-    *,
-    branch_cap: int = defaults.BRANCH_CAP,
 ) -> EntropySequence:
     """a_n = H_phi(zeta | past refinement of depth n) for n = 1..depth.
 
@@ -217,9 +217,9 @@ def an_sequence(
         raise DimensionMismatch("dynamics needs measurements on a single algebra")
     if depth < 1:
         raise ValidationFailure("depth must be at least 1")
-    if _word_count(zeta.size, depth + 1, branch_cap) > branch_cap:
+    if _exceeds_branch_cap(zeta.size, depth + 1):
         raise ResourceCapExceeded(
-            f"depth {depth} would enumerate more than {branch_cap} branches"
+            f"depth {depth} would enumerate more than {defaults.BRANCH_CAP} branches"
         )
     base = information(phi, zeta)
     if base.infinite_flag:

@@ -295,9 +295,9 @@ def parse_spec(text: str) -> SystemSpec:
             state = StateFunctional.from_density(density, algebra)
 
     partitions = {}
-    if not isinstance(raw.get("partitions") or {}, dict):
+    if not isinstance(raw.get("partitions", {}), dict):
         raise _fail("partitions", "expected an object of named partitions")
-    for name, obj in (raw.get("partitions") or {}).items():
+    for name, obj in raw.get("partitions", {}).items():
         partitions[name] = _partition(obj, f"partitions.{name}")
 
     unitary = None
@@ -308,7 +308,7 @@ def parse_spec(text: str) -> SystemSpec:
 
     classical = _classical(raw["classical"], "classical") if "classical" in raw else None
     channel = _channel(raw["channel"], "channel") if "channel" in raw else None
-    params = raw.get("params") or {}
+    params = raw.get("params", {})
     if not isinstance(params, dict):
         raise _fail("params", "expected an object")
     return SystemSpec(
@@ -427,7 +427,8 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
     if spec.state is None:
         raise _fail("state", "dynent task needs a state")
     depth = _int_param(spec.params, "N", defaults.DEFAULT_DEPTH)
-    cap = _int_param(spec.params, "branch_cap", defaults.BRANCH_CAP)
+    if "branch_cap" in spec.params:
+        raise _fail("params.branch_cap", "the cap is fixed at qde.defaults.BRANCH_CAP")
     names = spec.params.get("partitions")
     if names is not None and not (
         isinstance(names, list) and all(isinstance(n, str) for n in names)
@@ -446,7 +447,7 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
     best_name, best_seq = None, None
     for name, zeta in candidates.items():
         theta = spec.unitary or Automorphism.identity(zeta.dim_in)
-        seq = an_sequence(spec.state, theta, zeta, depth, branch_cap=cap)
+        seq = an_sequence(spec.state, theta, zeta, depth)
         per_candidate[name] = seq
         if best_seq is None or seq.h_estimate > best_seq.h_estimate:
             best_name, best_seq = name, seq

@@ -20,7 +20,7 @@ from qde.capacity import (
     proportional_code_channel,
     unit_input_state,
 )
-from qde.errors import ResourceCapExceeded, ValidationFailure
+from qde.errors import PropertyViolation, ResourceCapExceeded, ValidationFailure
 from qde.linalg import hermitian_basis
 from qde.partitions import Partition, partition_power, tensor_partition, vn_partition
 from qde.properties import random_invariant_state, random_partition
@@ -338,3 +338,69 @@ def test_merged_report_computes_the_n1_code_information_once_per_search(monkeypa
     # one base evaluation per search; H_upper reuses it
     assert len(outside_calls) == 2
     assert report.H_upper == information(unit_input_state(), zero_plus_ensemble()).total_H
+
+
+# --- the weight-form objective and its certificate -----------------------------------
+
+
+def _trine():
+    kets = [np.array([math.cos(t), math.sin(t)]) for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    return ensemble_channel([np.outer(k, k) for k in kets], [1 / 3, 1 / 3, 1 / 3])
+
+
+def _weight_gains(phi, code, params):
+    """(I, Ic) of the search objective: the weight form."""
+    import qde.capacity as cap
+    from qde.dynamics import information
+
+    branches = np.stack([m.predual(phi.density) for m in code.maps])
+    u = cap._rotation(params, hermitian_basis(code.dim_out))
+    return cap._gain_from_weights(information(phi, code), branches, u)
+
+
+def _library_gains(phi, code, params):
+    """(I, Ic) of the certificate: the full `information_gain` path."""
+    return information_gain(phi, code, projective_measurement(params, hermitian_basis(code.dim_out)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_weight_form_matches_the_library_gain(rng, n):
+    from qde.capacity import state_power
+
+    mixed = StateFunctional.from_density(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))
+    zoo = [
+        (unit_input_state(), _trine()),
+        (unit_input_state(), zero_plus_ensemble()),
+        (mixed, depolarizing_channel(0.3)),
+        (mixed, dephasing_channel(0.25)),
+        (mixed, proportional_code_channel([0.3, 0.7], 2)),
+    ]
+    for phi, code in zoo:
+        phi_n, code_n = state_power(phi, n), partition_power(code, n)
+        for _ in range(20):
+            params = rng.uniform(-np.pi, np.pi, code_n.dim_out**2 - 1)
+            library = _library_gains(phi_n, code_n, params)
+            assert _weight_gains(phi_n, code_n, params) == pytest.approx(library, abs=1e-12)
+
+
+def test_both_gain_paths_reject_an_outcome_on_the_support_edge():
+    # outcome 1 carries weight 1e-13: live, yet within SUPPORT_CUTOFF of the mean's top
+    code = ensemble_channel([np.diag([1 - 1e-13, 1e-13])], [1.0])
+    for gains in (_weight_gains, _library_gains):
+        with pytest.raises(ValidationFailure, match="infinite divergence"):
+            gains(unit_input_state(), code, np.zeros(3))
+
+
+def test_a_search_value_its_certificate_disputes_raises(monkeypatch):
+    import qde.capacity as cap
+
+    exact = cap._gain_from_weights
+
+    def off_by_a_micro_nat(*args):
+        gain, gain_c = exact(*args)
+        return gain + 1e-6, gain_c + 1e-6
+
+    monkeypatch.setattr(cap, "_gain_from_weights", off_by_a_micro_nat)
+    cfg = OptimizerConfig(restarts=1, max_iterations=20, seed=0)
+    with pytest.raises(PropertyViolation, match="certified"):
+        merged_capacity_report(unit_input_state(), zero_plus_ensemble(), 1, cfg)

@@ -263,6 +263,17 @@ def test_an_branch_cap():
         )
 
 
+def test_a_one_outcome_partition_has_the_two_outcome_depth_limit():
+    phi, identity = StateFunctional.maximally_mixed(2), Automorphism.identity(2)
+    seq = an_sequence(phi, identity, Partition.trivial(2), depth=11)
+    assert all(abs(v) <= 1e-12 for v in seq.values)
+    for zeta in (Partition.trivial(2), z_partition()):
+        with pytest.raises(ResourceCapExceeded):
+            an_sequence(phi, identity, zeta, depth=12)
+        with pytest.raises(ResourceCapExceeded):
+            refinement(identity, zeta, 13)
+
+
 def test_markov_diagonal_embedding_matches_conditional_entropy():
     # two-state chain embedded on the diagonal algebra of windows
     from qde.classical import SymbolicShift, embed_diagonal

@@ -224,13 +224,17 @@ def test_cli_capacity(tmp_path):
     assert abs(record["results"]["C_1"]) <= 1e-8
 
 
-def _cli_subprocess(args):
+def _cli_subprocess(args, timeout=None):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "qde.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qde.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
 
 
@@ -501,6 +505,38 @@ def test_cli_support_cutoff_is_rejected_at_its_path(tmp_path, capsys, cutoff):
     code, captured = _cli_in_process(["run", str(spec_path)], capsys)
     assert code == 2
     assert "params.support_cutoff:" in captured.err
+
+
+@pytest.mark.parametrize("cap", [1, 4096, 10**9])
+def test_cli_branch_cap_is_rejected_at_its_path(tmp_path, capsys, cap):
+    spec_path = tmp_path / "dynent.json"
+    spec_path.write_text(json.dumps(_dynent_params(N=2, branch_cap=cap)))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 2
+    assert "params.branch_cap:" in captured.err
+
+
+@pytest.mark.parametrize("key", ["params", "partitions"])
+@pytest.mark.parametrize("falsy", [[], "", 0, False], ids=["list", "string", "zero", "false"])
+def test_cli_falsy_non_object_params_and_partitions_fail_closed(tmp_path, capsys, key, falsy):
+    raw = _capacity_params()
+    raw[key] = falsy
+    spec_path = tmp_path / "capacity.json"
+    spec_path.write_text(json.dumps(raw))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 2
+    assert f"{key}:" in captured.err
+
+
+def test_cli_one_outcome_partition_gets_the_two_outcome_depth_limit(tmp_path):
+    raw = _dynent_params(N=10**9)
+    raw["partitions"] = {"trivial": [[cm(np.eye(2))]]}
+    raw["params"]["partition"] = "trivial"
+    spec_path = tmp_path / "deep.json"
+    spec_path.write_text(json.dumps(raw))
+    proc = _cli_subprocess(["run", str(spec_path)], timeout=60)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
 
 
 def _code_specs(code, state):

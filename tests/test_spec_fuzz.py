@@ -93,7 +93,7 @@ def _paths(node, prefix=()):
 
 
 # A mutation that removes a capacity spec's fast `params` runs the default
-# search (20 restarts x 500 iterations, about 9 s); such draws come about once
+# search (20 restarts x 500 iterations, about 2 s); such draws come about once
 # per 80 examples and set the test's time, so the budget stays at 200.
 @settings(
     max_examples=200,
