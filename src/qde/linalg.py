@@ -178,6 +178,15 @@ class BlockAlgebra:
         return sum(self.blocks)
 
     @cached_property
+    def is_commutative(self) -> bool:
+        """Two or more blocks, all of size 1: a density on this algebra is diagonal.
+
+        The one-block algebra of a 1-dimensional space is counted as a full
+        algebra, so that every full-algebra input takes the dense path.
+        """
+        return len(self.blocks) > 1 and all(d == 1 for d in self.blocks)
+
+    @cached_property
     def _mask(self) -> np.ndarray:
         ids = np.concatenate([np.full(d, k) for k, d in enumerate(self.blocks)])
         return ids[:, None] == ids[None, :]

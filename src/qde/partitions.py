@@ -111,6 +111,20 @@ class KrausMap:
         moved = (self._rows @ rho).reshape(self._stack.shape)
         return _side_by_side(moved) @ dagger(_side_by_side(self._stack))
 
+    @cached_property
+    def _diagonal_weights(self) -> np.ndarray | None:
+        """sum_k |K_k,ii|^2 when every element is square and exactly diagonal, else None.
+
+        Exactly means every off-diagonal entry is 0.0: no tolerance, so no
+        off-diagonal mass is ever dropped.
+        """
+        if self.dim_in != self.dim_out:
+            return None
+        diag = np.diagonal(self._stack, axis1=1, axis2=2)
+        if np.count_nonzero(self._stack) != np.count_nonzero(diag):
+            return None
+        return (diag.real**2 + diag.imag**2).sum(axis=0)
+
     def relabel(self, label) -> "KrausMap":
         """The same validated map under another label, sharing its read-only stack."""
         twin = copy.copy(self)
@@ -129,10 +143,22 @@ def _product_kraus(first: KrausMap, second: KrausMap) -> np.ndarray:
     return prod.reshape(-1, second.dim_out, first.dim_in)
 
 
+def _diagonal_predual(weights: np.ndarray, omega: StateFunctional) -> StateFunctional:
+    """diag(weights * rho_ii) on omega's algebra: a diagonal map's image of a diagonal omega."""
+    out = np.diag((weights * omega.density.diagonal().real).astype(complex))
+    return StateFunctional._trusted(out, omega.algebra)
+
+
 def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:
-    """The functional omega composed with the map, as an unnormalized density."""
+    """The functional omega composed with the map, as an unnormalized density.
+
+    On an all-1-block algebra an exactly diagonal map keeps omega on that
+    algebra; every other image is on the full algebra.
+    """
     if omega.dim != zeta_i.dim_in:
         raise DimensionMismatch(f"state dimension {omega.dim} vs map input {zeta_i.dim_in}")
+    if omega.algebra.is_commutative and zeta_i._diagonal_weights is not None:
+        return _diagonal_predual(zeta_i._diagonal_weights, omega)
     return StateFunctional._trusted(
         zeta_i.predual(omega.density), BlockAlgebra.full(zeta_i.dim_out)
     )
@@ -239,6 +265,10 @@ class Partition:
         """State after the total (unital) map; preserves the weight."""
         if omega.dim != self.dim_in:
             raise DimensionMismatch(f"state dimension {omega.dim} vs partition input {self.dim_in}")
+        if omega.algebra.is_commutative and all(
+            m._diagonal_weights is not None for m in self.maps
+        ):
+            return _diagonal_predual(sum(m._diagonal_weights for m in self.maps), omega)
         out = sum(m.predual(omega.density) for m in self.maps)
         return StateFunctional._trusted(out, BlockAlgebra.full(self.dim_out))
 

@@ -61,7 +61,12 @@ class StateFunctional:
             raise ValidationFailure(f"density has off-block mass {off:.3e}")
         density = algebra.project(density)
         if check_positive:
-            clamp_psd_spectrum(np.linalg.eigvalsh(density))
+            # on an all-1-block algebra the projected density is diagonal
+            clamp_psd_spectrum(
+                density.diagonal().real
+                if algebra.is_commutative
+                else np.linalg.eigvalsh(density)
+            )
         density = density.copy()
         density.setflags(write=False)
         return cls(algebra, density)
@@ -114,6 +119,14 @@ class StateFunctional:
         return float(np.real(np.trace(self.density @ x)))
 
 
+def _common_algebra(parts) -> BlockAlgebra:
+    """The algebra every operand shares, or the full algebra when they differ."""
+    algebra = parts[0].algebra
+    if all(part.algebra.blocks == algebra.blocks for part in parts[1:]):
+        return algebra
+    return BlockAlgebra.full(parts[0].dim)
+
+
 def total_functional(parts) -> StateFunctional:
     """The sum of a nonempty family of functionals, built as one functional."""
     parts = list(parts)
@@ -122,14 +135,16 @@ def total_functional(parts) -> StateFunctional:
     if any(part.dim != parts[0].dim for part in parts):
         raise DimensionMismatch("adding functionals of different dimension")
     densities = [part.density for part in parts]
-    return StateFunctional._trusted(sum(densities[1:], densities[0]), parts[0].algebra)
+    return StateFunctional._trusted(sum(densities[1:], densities[0]), _common_algebra(parts))
 
 
 def mix(a: StateFunctional, b: StateFunctional, lam: float) -> StateFunctional:
     """Convex combination (1-lam)*a + lam*b."""
     if a.dim != b.dim:
         raise DimensionMismatch("mixing functionals of different dimension")
-    return StateFunctional._trusted((1.0 - lam) * a.density + lam * b.density, a.algebra)
+    return StateFunctional._trusted(
+        (1.0 - lam) * a.density + lam * b.density, _common_algebra((a, b))
+    )
 
 
 def product_state(a: StateFunctional, b: StateFunctional) -> StateFunctional:
@@ -166,6 +181,8 @@ class DivergenceEngine:
 
     The support of the reference keeps eigenvalues above SUPPORT_CUTOFF * max;
     argument mass outside it beyond the leak tolerance makes the value +inf.
+    A functional on an all-1-block algebra is diagonal: its spectrum is its
+    diagonal and the identity is its eigenbasis, so it needs no eigensolve.
     """
 
     def __init__(self, phi: StateFunctional):
@@ -173,11 +190,17 @@ class DivergenceEngine:
         self.degenerate = phi.weight <= defaults.WEIGHT_FLOOR
         if self.degenerate:
             return
-        q, v = spectral_decompose(phi.density)
-        q = clamp_psd_spectrum(q)
-        self._keep = q > defaults.SUPPORT_CUTOFF * q[0]
-        self._basis = v
-        self._basis_conj = v.conj()
+        if phi.algebra.is_commutative:
+            q = clamp_psd_spectrum(phi.density.diagonal().real)
+            top = q.max()
+            self._basis = None
+        else:
+            q, v = spectral_decompose(phi.density)
+            q = clamp_psd_spectrum(q)
+            top = q[0]
+            self._basis = v
+            self._basis_conj = v.conj()
+        self._keep = q > defaults.SUPPORT_CUTOFF * top
         self._log_q = np.log(q[self._keep])
         self.smallest_retained = float(q[self._keep].min())
 
@@ -189,15 +212,24 @@ class DivergenceEngine:
         if self.degenerate:
             return DivergenceReport(math.inf, omega.weight, 0.0, 0.0)
         rho = omega.density
-        p = clamp_psd_spectrum(np.linalg.eigvalsh(rho)[::-1])
-        keep_p = p > defaults.SUPPORT_CUTOFF * p[0]
+        if omega.algebra.is_commutative:
+            p = clamp_psd_spectrum(rho.diagonal().real)
+            top = float(p.max())
+        else:
+            p = clamp_psd_spectrum(np.linalg.eigvalsh(rho)[::-1])
+            top = float(p[0])
+        keep_p = p > defaults.SUPPORT_CUTOFF * top
         smallest_p = float(p[keep_p].min()) if keep_p.any() else 0.0
 
         # the argument in the eigenbasis of the reference, Re diag(V^dag rho V):
-        # one GEMM for rho V, then a column-wise product-sum with conj(V)
-        m = np.clip((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0, None)
+        # one GEMM for rho V, then a column-wise product-sum with conj(V);
+        # a diagonal reference has V = I
+        if self._basis is None:
+            m = np.clip(rho.diagonal().real, 0.0, None)
+        else:
+            m = np.clip((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0, None)
         off_mass = float(np.sum(m[~self._keep]))
-        leak_tol = 16.0 * omega.dim * defaults.SUPPORT_CUTOFF * max(1.0, float(p[0]))
+        leak_tol = 16.0 * omega.dim * defaults.SUPPORT_CUTOFF * max(1.0, top)
         if off_mass > leak_tol:
             return DivergenceReport(math.inf, off_mass, self.smallest_retained, smallest_p)
 

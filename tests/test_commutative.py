@@ -1,0 +1,234 @@
+"""The all-1-block (commutative) path against the dense path on the same densities.
+
+A functional on a commutative algebra takes its spectrum from its diagonal,
+and exactly diagonal maps keep it there.  Every quantity here is computed
+twice: on the commutative algebra, and on the full algebra from the same
+density, which runs the dense eigensolves.  Both must agree to 1e-12 with
+the same +inf/finite decisions.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qde.classical import (
+    FiniteSpace,
+    FunctionPartition,
+    SymbolicShift,
+    embed_diagonal,
+    markov_entropy_sequence,
+)
+from qde.dynamics import conditional_information, information, information_via_direct_sum
+from qde.errors import NotPositiveSemidefinite
+from qde.linalg import BlockAlgebra
+from qde.partitions import KrausMap, Partition, predual_apply
+from qde.properties import random_function_partition
+from qde.states import StateFunctional, mix, relative_entropy_report, total_functional
+
+from conftest import PLUS
+
+TOL = 1e-12
+
+
+def _close(a: float, b: float) -> bool:
+    """Equal to TOL, or the same infinity."""
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= TOL
+
+
+def _dense(phi: StateFunctional) -> StateFunctional:
+    """The same density on the full algebra."""
+    return StateFunctional.from_density(phi.density)
+
+
+def _diagonal(values) -> StateFunctional:
+    values = np.asarray(values, dtype=float)
+    return StateFunctional.from_density(
+        np.diag(values.astype(complex)), BlockAlgebra.commutative(values.size)
+    )
+
+
+def _instance(rng, d):
+    """A space with dead points and a 3-outcome partition whose first outcome
+    lives on the dead points only, so that it has weight 0."""
+    mu = rng.random(d) + 0.05
+    dead = rng.choice(d, size=int(rng.integers(1, d // 2 + 1)), replace=False)
+    mu[dead] = 0.0
+    g = np.abs(rng.normal(size=(3, d))) + 1e-3
+    g[0] = 0.0
+    g[:, dead] = 0.0
+    g[0, dead] = 1.0
+    return FiniteSpace(mu / mu.sum()), FunctionPartition(g / np.sqrt((g**2).sum(axis=0)))
+
+
+def _assert_reports_agree(fast, dense):
+    assert fast.infinite_flag == dense.infinite_flag
+    for name in ("total_H", "classical_Hc", "quantum_Hq"):
+        assert _close(getattr(fast, name), getattr(dense, name)), name
+    assert fast.weights.keys() == dense.weights.keys()
+    for label, weight in fast.weights.items():
+        assert abs(weight - dense.weights[label]) <= TOL
+
+
+def test_information_agrees_with_the_dense_path(rng):
+    zero_weight_outcomes = 0
+    for t in range(30):
+        d = 3 + t % 6
+        space, zeta = _instance(rng, d)
+        state, q_zeta = embed_diagonal(space, zeta)
+        _, q_eta = embed_diagonal(space, random_function_partition(rng, d, cells=2))
+        assert state.algebra.is_commutative
+        dense = _dense(state)
+
+        fast = information(state, q_zeta)
+        _assert_reports_agree(fast, information(dense, q_zeta))
+        zero_weight_outcomes += fast.weights[0] == 0.0
+        assert _close(
+            information_via_direct_sum(state, q_zeta), information_via_direct_sum(dense, q_zeta)
+        )
+        assert _close(
+            conditional_information(state, q_zeta, q_eta),
+            conditional_information(dense, q_zeta, q_eta),
+        )
+        assert _close(
+            conditional_information(state, q_eta, q_zeta),
+            conditional_information(dense, q_eta, q_zeta),
+        )
+    assert zero_weight_outcomes == 30
+
+
+def _assert_divergences_agree(fast, dense):
+    assert fast.finite == dense.finite
+    assert _close(fast.value, dense.value)
+    assert abs(fast.off_support_mass - dense.off_support_mass) <= TOL
+    assert abs(fast.smallest_retained_reference - dense.smallest_retained_reference) <= TOL
+    assert abs(fast.smallest_retained_argument - dense.smallest_retained_argument) <= TOL
+
+
+def _with_zeros(rng, d):
+    v = rng.random(d) * rng.uniform(0.2, 1.0)  # sub-normalized
+    v[rng.random(d) < 0.3] = 0.0
+    v[rng.integers(d)] = rng.uniform(0.1, 1.0)
+    return v
+
+
+def _random_density_on(rng, support, d):
+    """A random positive matrix whose range is spanned by the given coordinates."""
+    g = np.zeros((d, d), dtype=complex)
+    g[support] = rng.normal(size=(len(support), d)) + 1j * rng.normal(size=(len(support), d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_relative_entropy_agrees_with_the_dense_path_on_the_support_edge(rng):
+    decisions = set()
+    for t in range(200):
+        d = 2 + t % 7
+        omega, phi = _with_zeros(rng, d), _with_zeros(rng, d)
+        if t % 4 == 0:
+            # argument mass just beyond the reference support, inside the leak tolerance
+            edge = int(np.flatnonzero(phi == 0.0)[0]) if (phi == 0.0).any() else 0
+            phi[edge] = 0.0
+            omega[edge] = 1e-13
+        fast = relative_entropy_report(_diagonal(omega), _diagonal(phi))
+        _assert_divergences_agree(
+            fast, relative_entropy_report(_dense(_diagonal(omega)), _dense(_diagonal(phi)))
+        )
+        decisions.add(fast.finite)
+    assert decisions == {True, False}
+
+
+def test_mixed_algebras_agree_with_the_dense_path(rng):
+    decisions = set()
+    for t in range(100):
+        d = 2 + t % 6
+        diagonal = _diagonal(_with_zeros(rng, d))
+        live = np.flatnonzero(diagonal.density.diagonal().real > 0)
+        support = live if t % 2 else np.arange(d)
+        full = StateFunctional.from_density(_random_density_on(rng, support, d))
+        # commutative reference, full argument
+        fast = relative_entropy_report(full, diagonal)
+        _assert_divergences_agree(fast, relative_entropy_report(full, _dense(diagonal)))
+        decisions.add(fast.finite)
+        # full reference, commutative argument
+        _assert_divergences_agree(
+            relative_entropy_report(diagonal, full),
+            relative_entropy_report(_dense(diagonal), full),
+        )
+    assert decisions == {True, False}
+
+
+def test_sums_and_mixes_keep_an_algebra_only_when_every_operand_has_it():
+    diagonal = _diagonal([0.6, 0.4])
+    plus = StateFunctional.from_density(PLUS)
+    for combined in (total_functional([diagonal, plus]), mix(diagonal, plus, 0.5)):
+        assert combined.algebra.blocks == (2,)
+        # read as a diagonal, the off-diagonal mass would vanish from the spectrum
+        spectrum = np.linalg.eigvalsh(combined.density)[::-1]
+        reference = _dense(_diagonal([0.5, 0.5]))
+        expected = float(
+            np.sum(spectrum * np.log(spectrum)) - np.log(0.5) * np.trace(combined.density).real
+        )
+        assert abs(relative_entropy_report(combined, reference).value - expected) <= TOL
+    assert total_functional([diagonal, diagonal]).algebra is diagonal.algebra
+    assert mix(diagonal, diagonal, 0.3).algebra is diagonal.algebra
+
+
+def test_commutative_information_needs_no_eigensolve(rng, monkeypatch):
+    space, zeta = _instance(rng, 16)
+    state, part = embed_diagonal(space, zeta)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    information(state, part)
+    _diagonal(space.measure)
+    assert calls == []
+    assert all(branch.algebra is state.algebra for branch in part.branch_preduals(state))
+    assert part.total_predual(state).algebra is state.algebra
+
+
+def test_commutative_positivity_check_reads_the_diagonal():
+    with pytest.raises(NotPositiveSemidefinite):
+        _diagonal([1.1, -0.1])
+
+
+def test_only_exactly_diagonal_maps_keep_the_commutative_algebra():
+    state = _diagonal([0.5, 0.3, 0.2])
+    tiny = np.diag([1.0, 0.5, 0.5]).astype(complex)
+    tiny[0, 1] = 1e-300  # off-diagonal but nonzero: no tolerance drops it
+    leaky = KrausMap((tiny,))
+    assert predual_apply(leaky, state).algebra.blocks == (3,)
+    assert np.array_equal(
+        predual_apply(leaky, state).density, predual_apply(leaky, _dense(state)).density
+    )
+    rest = np.diag([0.0, math.sqrt(0.75), math.sqrt(0.75)])
+    mixed = Partition((leaky, KrausMap((rest,))))
+    assert mixed.total_predual(state).algebra.blocks == (3,)
+    diagonal = Partition(
+        (KrausMap((np.diag([1.0, 0.6, 0.0]),)), KrausMap((np.diag([0.0, 0.8, 1.0]),)))
+    )
+    after = diagonal.total_predual(state)
+    assert after.algebra is state.algebra
+    assert np.abs(after.density - diagonal.total_predual(_dense(state)).density).max() <= TOL
+
+
+def test_dense_engine_meets_the_markov_rate_on_the_full_algebra():
+    """The embedded window state re-declared on the full algebra keeps the
+    dense engine under the Markov closed form."""
+    shift = SymbolicShift(np.array([[0.7, 0.3], [0.2, 0.8]]))
+    for n, value in enumerate(markov_entropy_sequence(shift, depth=4).values, start=1):
+        present = shift.coordinate_indicator(n + 1, [n])
+        past = shift.coordinate_indicator(n + 1, range(n))
+        state, q_present = embed_diagonal(shift.word_space(n + 1), present)
+        _, q_past = embed_diagonal(shift.word_space(n + 1), past)
+        dense = StateFunctional.from_density(state.density)
+        assert dense.algebra.blocks == (state.dim,)
+        assert abs(conditional_information(dense, q_present, q_past) - value) <= 1e-8, f"n={n}"

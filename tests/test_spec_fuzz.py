@@ -33,6 +33,14 @@ BASES = {
         "partitions": {"zbasis": _Z},
         "params": {"partition": "zbasis"},
     },
+    "info_commutative": {
+        "schema_version": "1",
+        "task": "info",
+        "algebra": {"blocks": [1, 1]},
+        "state": cm(np.diag([0.7, 0.3])),
+        "partitions": {"zbasis": _Z},
+        "params": {"partition": "zbasis"},
+    },
     "dynent": {
         "schema_version": "1",
         "task": "dynent",
