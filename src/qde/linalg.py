@@ -8,6 +8,7 @@ products up to 4096).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,21 +44,26 @@ def as_hermitian(a: np.ndarray, tol: float = defaults.HERMITICITY_TOL) -> np.nda
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     assert_finite(a)
-    dev = np.max(np.abs(a - dagger(a)))
+    dev = np.abs(a - dagger(a)).max()
     if dev > tol:
         raise ValidationFailure(f"matrix is not hermitian: max asymmetry {dev:.3e} > {tol:.1e}")
     return 0.5 * (a + dagger(a))
 
 
-def spectral_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a hermitian matrix."""
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`numpy.linalg.eigh` (ascending), with a solver failure raised as EigensolverFailure."""
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(
             f"eigensolver failed on a {a.shape[0]}x{a.shape[1]} matrix "
             f"with Frobenius norm {frobenius(a):.6e}"
         ) from exc
+
+
+def spectral_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvector columns of a hermitian matrix."""
+    w, v = _eigh(a)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -66,7 +72,17 @@ def clamp_psd_spectrum(w: np.ndarray, tol: float = defaults.NEGATIVE_EIGENVALUE_
     low = float(w.min()) if w.size else 0.0
     if low < -tol:
         raise NotPositiveSemidefinite(f"eigenvalue {low:.3e} below -{tol:.1e}")
-    return np.clip(w, 0.0, None)
+    return np.maximum(w, 0.0)
+
+
+def _clamp_ascending(w: np.ndarray, tol: float = defaults.NEGATIVE_EIGENVALUE_TOL) -> np.ndarray:
+    """`clamp_psd_spectrum` of an eigensolver's ascending output, returned descending.
+
+    The smallest eigenvalue is the first entry, so no reduction finds it.
+    """
+    if w[0] < -tol:
+        raise NotPositiveSemidefinite(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
+    return np.maximum(w[::-1], 0.0)
 
 
 def matrix_log_on_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +181,9 @@ class BlockAlgebra:
         object.__setattr__(self, "blocks", tuple(int(d) for d in self.blocks))
 
     @classmethod
+    @functools.cache
     def full(cls, dim: int) -> "BlockAlgebra":
+        """One shared instance per dimension: algebras are frozen and compared by blocks."""
         return cls((dim,))
 
     @classmethod

@@ -31,6 +31,8 @@ from . import defaults
 from .errors import DimensionMismatch, ValidationFailure
 from .linalg import (
     BlockAlgebra,
+    _clamp_ascending,
+    _eigh,
     as_hermitian,
     clamp_psd_spectrum,
     dagger,
@@ -65,17 +67,17 @@ class KrausMap:
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", tuple(stack))
         object.__setattr__(self, "_stack", stack)
-        top = float(np.max(np.linalg.eigvalsh(self.unit_image)))
+        top = float(np.linalg.eigvalsh(self.unit_image)[-1])  # ascending: the last is the largest
         if top > 1.0 + defaults.SUB_UNITALITY_TOL:
             raise ValidationFailure(f"map is not sub-unital: max eigenvalue {top:.12f}")
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self._stack.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self._stack.shape[1]
 
     @property
     def _rows(self) -> np.ndarray:
@@ -157,11 +159,14 @@ def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:
     """
     if omega.dim != zeta_i.dim_in:
         raise DimensionMismatch(f"state dimension {omega.dim} vs map input {zeta_i.dim_in}")
-    if omega.algebra.is_commutative and zeta_i._diagonal_weights is not None:
-        return _diagonal_predual(zeta_i._diagonal_weights, omega)
-    return StateFunctional._trusted(
-        zeta_i.predual(omega.density), BlockAlgebra.full(zeta_i.dim_out)
-    )
+    return _image(zeta_i, omega, BlockAlgebra.full(zeta_i.dim_out))
+
+
+def _image(m: KrausMap, omega: StateFunctional, full: BlockAlgebra) -> StateFunctional:
+    """predual_apply with the dimensions checked; `full` is the full algebra of m's output."""
+    if omega.algebra.is_commutative and m._diagonal_weights is not None:
+        return _diagonal_predual(m._diagonal_weights, omega)
+    return StateFunctional._trusted(m.predual(omega.density), full)
 
 
 def _choi(stack: np.ndarray) -> np.ndarray:
@@ -179,13 +184,12 @@ def choi_matrix(zeta_i: KrausMap) -> np.ndarray:
 
 def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int, label=None) -> KrausMap:
     """Minimal Kraus family (at most dim_in * dim_out elements) from a Choi matrix."""
-    w, v = spectral_decompose(as_hermitian(choi))
-    w = clamp_psd_spectrum(w, tol=1e-8)
-    top = w[0] if w.size else 0.0
-    keep = w > 1e-14 * max(top, 1.0)
+    w, v = _eigh(as_hermitian(choi))
+    w = _clamp_ascending(w, tol=1e-8)  # descending
+    keep = w > 1e-14 * max(w[0], 1.0)
     if not keep.any():
         return KrausMap((np.zeros((dim_out, dim_in), dtype=complex),), label)
-    cols = v[:, keep] * np.sqrt(w[keep])
+    cols = v[:, ::-1][:, keep] * np.sqrt(w[keep])
     # column c is vec(K_c^T)
     return KrausMap(cols.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1), label)
 
@@ -273,7 +277,11 @@ class Partition:
         return StateFunctional._trusted(out, BlockAlgebra.full(self.dim_out))
 
     def branch_preduals(self, omega: StateFunctional) -> list[StateFunctional]:
-        return [predual_apply(m, omega) for m in self.maps]
+        """predual_apply of every outcome, in outcome order."""
+        if omega.dim != self.dim_in:
+            raise DimensionMismatch(f"state dimension {omega.dim} vs partition input {self.dim_in}")
+        full = BlockAlgebra.full(self.dim_out)
+        return [_image(m, omega, full) for m in self.maps]
 
 
 def compose(zeta: Partition, eta: Partition) -> Partition:

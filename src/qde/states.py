@@ -24,6 +24,7 @@ from . import defaults
 from .errors import DimensionMismatch, ValidationFailure
 from .linalg import (
     BlockAlgebra,
+    _clamp_ascending,
     as_hermitian,
     clamp_psd_spectrum,
     dagger,
@@ -98,16 +99,23 @@ class StateFunctional:
 
     @cached_property
     def weight(self) -> float:
-        return float(np.real(np.trace(self.density)))
+        return float(self.density.trace().real)
 
     def require_normalized(self, what: str = "state") -> None:
         if not abs(self.weight - 1.0) <= 1e-8:  # a NaN weight fails too
             raise ValidationFailure(f"{what} has weight {self.weight:.12f}, expected 1")
 
     def scale(self, factor: float) -> "StateFunctional":
-        if factor < 0:
-            raise ValidationFailure("negative scaling of a positive functional")
-        return StateFunctional._trusted(factor * self.density, self.algebra)
+        """The functional times a finite factor >= 0.
+
+        A real multiple of an exactly hermitian density is exactly hermitian,
+        so the product is not symmetrized again.
+        """
+        if not 0.0 <= factor < math.inf:  # a NaN factor fails too
+            raise ValidationFailure(f"scaling factor {factor} outside [0, inf)")
+        density = factor * self.density
+        density.setflags(write=False)
+        return StateFunctional(self.algebra, density)
 
     def evaluate(self, observable: np.ndarray) -> float:
         """phi(x) = tr(rho x) for hermitian x."""
@@ -139,7 +147,9 @@ def total_functional(parts) -> StateFunctional:
 
 
 def mix(a: StateFunctional, b: StateFunctional, lam: float) -> StateFunctional:
-    """Convex combination (1-lam)*a + lam*b."""
+    """Convex combination (1-lam)*a + lam*b, for 0 <= lam <= 1."""
+    if not 0.0 <= lam <= 1.0:  # a NaN weight fails too
+        raise ValidationFailure(f"mixing weight {lam} outside [0, 1]")
     if a.dim != b.dim:
         raise DimensionMismatch("mixing functionals of different dimension")
     return StateFunctional._trusted(
@@ -201,39 +211,41 @@ class DivergenceEngine:
             self._basis = v
             self._basis_conj = v.conj()
         self._keep = q > defaults.SUPPORT_CUTOFF * top
+        self._drop = ~self._keep
         self._log_q = np.log(q[self._keep])
         self.smallest_retained = float(q[self._keep].min())
 
     def report(self, omega: StateFunctional) -> DivergenceReport:
         if omega.dim != self.phi.dim:
             raise DimensionMismatch(f"dimensions {omega.dim} vs {self.phi.dim}")
-        if omega.weight <= defaults.WEIGHT_FLOOR:
+        weight = omega.weight
+        if weight <= defaults.WEIGHT_FLOOR:
             return DivergenceReport(0.0, 0.0, 0.0, 0.0)
         if self.degenerate:
-            return DivergenceReport(math.inf, omega.weight, 0.0, 0.0)
+            return DivergenceReport(math.inf, weight, 0.0, 0.0)
         rho = omega.density
         if omega.algebra.is_commutative:
             p = clamp_psd_spectrum(rho.diagonal().real)
             top = float(p.max())
         else:
-            p = clamp_psd_spectrum(np.linalg.eigvalsh(rho)[::-1])
+            p = _clamp_ascending(np.linalg.eigvalsh(rho))
             top = float(p[0])
-        keep_p = p > defaults.SUPPORT_CUTOFF * top
-        smallest_p = float(p[keep_p].min()) if keep_p.any() else 0.0
+        kept_p = p[p > defaults.SUPPORT_CUTOFF * top]
+        smallest_p = float(kept_p.min()) if kept_p.size else 0.0
 
         # the argument in the eigenbasis of the reference, Re diag(V^dag rho V):
         # one GEMM for rho V, then a column-wise product-sum with conj(V);
         # a diagonal reference has V = I
         if self._basis is None:
-            m = np.clip(rho.diagonal().real, 0.0, None)
+            m = np.maximum(rho.diagonal().real, 0.0)
         else:
-            m = np.clip((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0, None)
-        off_mass = float(np.sum(m[~self._keep]))
+            m = np.maximum((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0)
+        off_mass = float(m[self._drop].sum())
         leak_tol = 16.0 * omega.dim * defaults.SUPPORT_CUTOFF * max(1.0, top)
         if off_mass > leak_tol:
             return DivergenceReport(math.inf, off_mass, self.smallest_retained, smallest_p)
 
-        term_self = float(np.sum(p[keep_p] * np.log(p[keep_p])))
+        term_self = float((kept_p * np.log(kept_p)).sum())
         term_cross = float(np.dot(m[self._keep], self._log_q))
         return DivergenceReport(
             term_self - term_cross, off_mass, self.smallest_retained, smallest_p

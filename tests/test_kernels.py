@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from qde.errors import DimensionMismatch, ValidationFailure
+from qde.errors import DimensionMismatch, NotPositiveSemidefinite, ValidationFailure
+from qde.linalg import BlockAlgebra
 from qde.partitions import (
     Automorphism,
     KrausMap,
@@ -20,7 +21,7 @@ from qde.partitions import (
     conjugate,
     kraus_from_choi,
 )
-from qde.states import DivergenceEngine, StateFunctional
+from qde.states import DivergenceEngine, StateFunctional, mix, total_functional
 
 from oracles import dag
 from oracles import predual as oracle_predual
@@ -87,6 +88,48 @@ def test_divergence_engine_rank_deficient_reference(rng, d):
     assert report.off_support_mass == pytest.approx(
         1.0 - np.real(np.trace(basis @ dag(basis) @ outside)), abs=1e-10
     )
+
+
+def _rotated(u, spectrum):
+    """u diag(spectrum) u^dag as a functional on the full algebra, taken as given."""
+    density = (u * np.asarray(spectrum, dtype=float)) @ dag(u)
+    return StateFunctional._trusted(density, BlockAlgebra.full(len(spectrum)))
+
+
+# reference spectrum, argument spectrum with one zero entry, decision; the
+# argument and the reference share an eigenbasis, so an argument whose zero
+# is perturbed differs from its clamped twin along one eigenvector only
+CLAMP_CASES = [
+    ([0.5, 0.3, 0.2], [0.6, 0.4, 0.0], "finite"),
+    ([0.6, 0.4, 0.0], [0.5, 0.0, 0.5], "inf"),
+]
+
+
+@pytest.mark.parametrize("reference,argument,decision", CLAMP_CASES)
+def test_dense_report_clamps_a_spectrum_just_below_zero(rng, reference, argument, decision):
+    u = random_unitary(rng, len(reference))
+    engine = DivergenceEngine(_rotated(u, reference))
+    twin = engine.report(_rotated(u, argument))
+    perturbed = list(argument)
+    perturbed[argument.index(0.0)] = -5e-11  # inside NEGATIVE_EIGENVALUE_TOL = 1e-10
+    got = engine.report(_rotated(u, perturbed))
+    assert math.isfinite(got.value) == (decision == "finite")
+    if decision == "finite":
+        assert got.value == pytest.approx(twin.value, abs=1e-12)
+    else:
+        assert got.value == twin.value == math.inf
+    for margin in ("off_support_mass", "smallest_retained_reference", "smallest_retained_argument"):
+        assert getattr(got, margin) == pytest.approx(getattr(twin, margin), abs=1e-12)
+
+
+@pytest.mark.parametrize("reference,argument,decision", CLAMP_CASES)
+def test_dense_report_rejects_a_spectrum_past_the_clamp(rng, reference, argument, decision):
+    u = random_unitary(rng, len(reference))
+    engine = DivergenceEngine(_rotated(u, reference))
+    perturbed = list(argument)
+    perturbed[argument.index(0.0)] = -2e-10
+    with pytest.raises(NotPositiveSemidefinite):
+        engine.report(_rotated(u, perturbed))
 
 
 # --- Kraus layer -----------------------------------------------------------------
@@ -175,3 +218,83 @@ def test_stored_kraus_elements_are_read_only_copies():
             stored[0, 0] = 1.0
     k[0, 0] = 0.9  # the caller's array stays its own
     assert m.kraus[0][0, 0] == 0.5
+
+
+def _rank_deficient_choi(rng, d):
+    """A map's Kraus family and Choi matrix, plus a unit vector in the Choi kernel."""
+    ks = [0.5 * k for k in unit_sum_kraus(rng, 2, d)]
+    choi = choi_matrix(KrausMap(tuple(ks)))
+    w, v = np.linalg.eigh(choi)
+    assert w[0] < 1e-12  # rank 2 of d * d
+    return ks, choi, v[:, 0]
+
+
+def test_kraus_from_choi_rejects_a_non_hermitian_matrix(rng):
+    _, choi, _ = _rank_deficient_choi(rng, 2)
+    bad = choi.copy()
+    bad[0, 1] += 1e-6
+    with pytest.raises(ValidationFailure):
+        kraus_from_choi(bad, 2, 2)
+
+
+def test_kraus_from_choi_rejects_an_eigenvalue_past_its_clamp(rng):
+    _, choi, kernel = _rank_deficient_choi(rng, 2)
+    with pytest.raises(NotPositiveSemidefinite):
+        kraus_from_choi(choi - 1e-7 * np.outer(kernel, kernel.conj()), 2, 2)
+
+
+def test_kraus_from_choi_clamps_a_small_negative_eigenvalue(rng):
+    ks, choi, kernel = _rank_deficient_choi(rng, 3)
+    rebuilt = kraus_from_choi(choi - 1e-9 * np.outer(kernel, kernel.conj()), 3, 3)
+    # the clamped Choi matrix is the unperturbed one, so the action is the family's
+    assert len(rebuilt.kraus) == 2
+    rho = random_density(rng, 3)
+    assert np.allclose(rebuilt.predual(rho), oracle_predual(ks, rho), rtol=0, atol=1e-12)
+
+
+def test_kraus_from_choi_of_zero_is_one_zero_element():
+    m = kraus_from_choi(np.zeros((6, 6), dtype=complex), 2, 3)
+    assert len(m.kraus) == 1
+    assert m.kraus[0].shape == (3, 2)
+    assert not m.kraus[0].any()
+
+
+# --- shared algebras and exact rescaling -------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_full_algebra_is_shared_per_dimension(rng, d):
+    assert BlockAlgebra.full(d) is BlockAlgebra.full(d)
+    shared = StateFunctional.from_density(random_density(rng, d))
+    own = StateFunctional.from_density(random_density(rng, d), BlockAlgebra((d,)))
+    assert shared.algebra is BlockAlgebra.full(d)
+    assert own.algebra is not shared.algebra
+    for combined in (total_functional([shared, own]), mix(shared, own, 0.3), mix(own, shared, 0.3)):
+        assert combined.algebra.blocks == (d,)
+        assert not combined.algebra.is_commutative
+
+
+def _random_functionals(rng):
+    for d in (1, 2, 3, 4):
+        yield StateFunctional.from_density(random_density(rng, d))
+        branch = random_density(rng, d, rank=1, weight=0.4)
+        yield StateFunctional._trusted(branch, BlockAlgebra.full(d))
+    for d in (2, 3, 5):
+        probs = rng.random(d)
+        probs[0] = 0.0
+        diagonal = np.diag(probs / probs.sum()).astype(complex)
+        yield StateFunctional.from_density(diagonal, BlockAlgebra.commutative(d))
+
+
+def test_scale_equals_the_symmetrized_product_bitwise(rng):
+    for phi in _random_functionals(rng):
+        for c in (0.0, 1.0, 0.37, 1.0 / 3e-14, 2.5e10, float(rng.random())):
+            got = phi.scale(c)
+            want = StateFunctional._trusted(c * phi.density, phi.algebra)
+            assert got.algebra is phi.algebra
+            if c > 0:
+                assert got.density.tobytes() == want.density.tobytes()
+            else:  # zeros of either sign: equal values, not equal bits
+                assert np.array_equal(got.density, want.density)
+            assert np.array_equal(got.density, got.density.conj().T)
+            assert not got.density.flags.writeable

@@ -196,6 +196,24 @@ def test_trace_distance():
     assert trace_distance(diag_state(1, 0), diag_state(0, 1)) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("factor", [-1.0, -1e-300, math.nan, math.inf])
+def test_scale_rejects_a_factor_outside_zero_to_infinity(factor):
+    with pytest.raises(ValidationFailure):
+        StateFunctional.maximally_mixed(2).scale(factor)
+
+
+@pytest.mark.parametrize("lam", [-0.5, 1.5, 1.0 + 1e-12, math.nan, math.inf])
+def test_mix_rejects_a_weight_outside_the_unit_interval(lam):
+    with pytest.raises(ValidationFailure):
+        mix(diag_state(1, 0), diag_state(0, 1), lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_mix_accepts_the_interval_ends(lam):
+    mixed = mix(diag_state(1, 0), diag_state(0, 1), lam)
+    assert np.array_equal(mixed.density.diagonal().real, [1.0 - lam, lam])
+
+
 def test_state_validation():
     with pytest.raises(NotPositiveSemidefinite):
         StateFunctional.from_density(np.diag([1.0, -0.1]).astype(complex))
