@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -169,6 +168,30 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
     return basis
 
 
+class lazy_attribute:
+    """An attribute computed from the instance at its first read and stored on it.
+
+    `functools.cached_property` as of Python 3.12: the instance's `__dict__`
+    holds the value, so later reads never reach the descriptor, and the
+    first read takes no lock (before 3.12 it takes one per class).  The
+    values cached here are pure functions of frozen data, so two threads
+    that race on a first read store equal values.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class BlockAlgebra:
     """Finite direct sum of full matrix algebras, given by block dimensions."""
@@ -195,7 +218,7 @@ class BlockAlgebra:
     def dim(self) -> int:
         return sum(self.blocks)
 
-    @cached_property
+    @lazy_attribute
     def is_commutative(self) -> bool:
         """Two or more blocks, all of size 1: a density on this algebra is diagonal.
 
@@ -204,7 +227,7 @@ class BlockAlgebra:
         """
         return len(self.blocks) > 1 and all(d == 1 for d in self.blocks)
 
-    @cached_property
+    @lazy_attribute
     def _mask(self) -> np.ndarray:
         ids = np.concatenate([np.full(d, k) for k, d in enumerate(self.blocks)])
         return ids[:, None] == ids[None, :]

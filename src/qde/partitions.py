@@ -23,7 +23,6 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +44,12 @@ from .states import StateFunctional
 
 @dataclass(frozen=True, eq=False)
 class KrausMap:
-    """Completely positive sub-unital map given by a finite Kraus family."""
+    """Completely positive sub-unital map given by a finite Kraus family.
+
+    `unit_image` is zeta(I) = sum K^dag K, a read-only dim_in x dim_in
+    positive contraction; it is a real diagonal matrix when every Kraus
+    element is exactly diagonal.
+    """
 
     kraus: tuple[np.ndarray, ...]
     label: object = None
@@ -67,7 +71,17 @@ class KrausMap:
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", tuple(stack))
         object.__setattr__(self, "_stack", stack)
-        top = float(np.linalg.eigvalsh(self.unit_image)[-1])  # ascending: the last is the largest
+        weights = _exact_diagonal_weights(stack)
+        object.__setattr__(self, "_diagonal_weights", weights)
+        if weights is None:
+            rows = self._rows
+            s = dagger(rows) @ rows
+            unit = 0.5 * (s + dagger(s))
+        else:
+            unit = np.diag(weights)
+        unit.setflags(write=False)
+        object.__setattr__(self, "unit_image", unit)
+        top = float(np.linalg.eigvalsh(unit)[-1])  # ascending: the last is the largest
         if top > 1.0 + defaults.SUB_UNITALITY_TOL:
             raise ValidationFailure(f"map is not sub-unital: max eigenvalue {top:.12f}")
 
@@ -83,13 +97,6 @@ class KrausMap:
     def _rows(self) -> np.ndarray:
         """The family stacked vertically, a (count * dim_out) x dim_in view."""
         return self._stack.reshape(-1, self.dim_in)
-
-    @cached_property
-    def unit_image(self) -> np.ndarray:
-        """zeta(I) = sum K^dag K, a dim_in x dim_in positive contraction."""
-        rows = self._rows
-        s = dagger(rows) @ rows
-        return 0.5 * (s + dagger(s))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Heisenberg action on an observable of the output algebra."""
@@ -113,25 +120,29 @@ class KrausMap:
         moved = (self._rows @ rho).reshape(self._stack.shape)
         return _side_by_side(moved) @ dagger(_side_by_side(self._stack))
 
-    @cached_property
-    def _diagonal_weights(self) -> np.ndarray | None:
-        """sum_k |K_k,ii|^2 when every element is square and exactly diagonal, else None.
-
-        Exactly means every off-diagonal entry is 0.0: no tolerance, so no
-        off-diagonal mass is ever dropped.
-        """
-        if self.dim_in != self.dim_out:
-            return None
-        diag = np.diagonal(self._stack, axis1=1, axis2=2)
-        if np.count_nonzero(self._stack) != np.count_nonzero(diag):
-            return None
-        return (diag.real**2 + diag.imag**2).sum(axis=0)
-
     def relabel(self, label) -> "KrausMap":
         """The same validated map under another label, sharing its read-only stack."""
         twin = copy.copy(self)
         object.__setattr__(twin, "label", label)
         return twin
+
+
+def _exact_diagonal_weights(stack: np.ndarray) -> np.ndarray | None:
+    """sum_k |K_k,ii|^2 when every element is square and exactly diagonal, else None.
+
+    Exactly means every off-diagonal entry is 0.0: no tolerance, so no
+    off-diagonal mass is ever dropped.  A nonzero [0, 1] or [1, 0] entry of
+    the first element rules a map out before the full scan.
+    """
+    _, dim_out, dim_in = stack.shape
+    if dim_in != dim_out:
+        return None
+    if dim_in > 1 and (stack[0, 0, 1] != 0 or stack[0, 1, 0] != 0):
+        return None
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    if np.count_nonzero(stack) != np.count_nonzero(diag):
+        return None
+    return (diag.real**2 + diag.imag**2).sum(axis=0)
 
 
 def _side_by_side(stack: np.ndarray) -> np.ndarray:
@@ -140,15 +151,28 @@ def _side_by_side(stack: np.ndarray) -> np.ndarray:
 
 
 def _product_kraus(first: KrausMap, second: KrausMap) -> np.ndarray:
-    """Kraus stack {L @ K} of first-then-second, K-major."""
+    """Kraus stack {L @ K} of first-then-second, K-major.
+
+    Exactly diagonal factors multiply their diagonals elementwise.
+    """
+    if first._diagonal_weights is not None and second._diagonal_weights is not None:
+        k = np.diagonal(first._stack, axis1=1, axis2=2)
+        l = np.diagonal(second._stack, axis1=1, axis2=2)
+        d = first.dim_in
+        prod = np.zeros((len(k) * len(l), d, d), dtype=complex)
+        # the diagonal of a C-ordered d x d matrix is every (d + 1)-th entry
+        prod.reshape(len(prod), -1)[:, :: d + 1] = (k[:, None, :] * l[None, :, :]).reshape(-1, d)
+        return prod
     prod = second._stack[None, :, :, :] @ first._stack[:, None, :, :]
     return prod.reshape(-1, second.dim_out, first.dim_in)
 
 
 def _diagonal_predual(weights: np.ndarray, omega: StateFunctional) -> StateFunctional:
     """diag(weights * rho_ii) on omega's algebra: a diagonal map's image of a diagonal omega."""
+    # a real diagonal is exactly hermitian, so it is not symmetrized
     out = np.diag((weights * omega.density.diagonal().real).astype(complex))
-    return StateFunctional._trusted(out, omega.algebra)
+    out.setflags(write=False)
+    return StateFunctional(omega.algebra, out)
 
 
 def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:
@@ -170,16 +194,19 @@ def _image(m: KrausMap, omega: StateFunctional, full: BlockAlgebra) -> StateFunc
 
 
 def _choi(stack: np.ndarray) -> np.ndarray:
-    """Choi matrix of the predual action of a (count, dim_out, dim_in) Kraus stack."""
+    """Choi matrix of the predual action of a (count, dim_out, dim_in) Kraus stack.
+
+    Hermitian up to rounding and not symmetrized: its consumers do that once.
+    """
     # rows are vec(K^T); J = sum_k vec vec^dag = V^T conj(V)
     vecs = stack.transpose(0, 2, 1).reshape(len(stack), -1)
-    j = vecs.T @ vecs.conj()
-    return 0.5 * (j + dagger(j))
+    return vecs.T @ vecs.conj()
 
 
 def choi_matrix(zeta_i: KrausMap) -> np.ndarray:
     """Choi matrix of the predual action; PSD exactly when the map is CP."""
-    return _choi(zeta_i._stack)
+    j = _choi(zeta_i._stack)
+    return 0.5 * (j + dagger(j))
 
 
 def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int, label=None) -> KrausMap:
@@ -204,7 +231,10 @@ def _minimal_map(stack: np.ndarray, label) -> KrausMap:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Ordered family of maps whose unit images sum to the identity."""
+    """Ordered family of maps whose unit images sum to the identity.
+
+    `unit_sum_residual` is the Frobenius distance of that sum from the identity.
+    """
 
     maps: tuple[KrausMap, ...]
 
@@ -224,7 +254,8 @@ class Partition:
         labels = [m.label for m in maps]
         if len(set(labels)) != len(labels):
             raise ValidationFailure("duplicate outcome labels")
-        resid = self.unit_sum_residual
+        resid = frobenius(sum(m.unit_image for m in maps) - np.eye(d_in))
+        object.__setattr__(self, "unit_sum_residual", resid)
         if resid > defaults.UNIT_SUM_TOL:
             raise ValidationFailure(f"unit images sum off identity by {resid:.3e}")
 
@@ -259,11 +290,6 @@ class Partition:
 
     def __iter__(self):
         return iter(self.maps)
-
-    @cached_property
-    def unit_sum_residual(self) -> float:
-        total = sum(m.unit_image for m in self.maps)
-        return frobenius(total - np.eye(self.dim_in))
 
     def total_predual(self, omega: StateFunctional) -> StateFunctional:
         """State after the total (unital) map; preserves the weight."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .linalg import (
     clamp_psd_spectrum,
     dagger,
     frobenius,
+    lazy_attribute,
     spectral_decompose,
     tensor,
     trace_norm,
@@ -97,7 +97,7 @@ class StateFunctional:
     def dim(self) -> int:
         return self.density.shape[0]
 
-    @cached_property
+    @lazy_attribute
     def weight(self) -> float:
         return float(self.density.trace().real)
 

@@ -20,10 +20,10 @@ from qde.classical import (
     markov_entropy_sequence,
 )
 from qde.dynamics import conditional_information, information, information_via_direct_sum
-from qde.errors import NotPositiveSemidefinite
+from qde.errors import NotPositiveSemidefinite, ValidationFailure
 from qde.linalg import BlockAlgebra
-from qde.partitions import KrausMap, Partition, predual_apply
-from qde.properties import random_function_partition
+from qde.partitions import KrausMap, Partition, _product_kraus, compose, predual_apply
+from qde.properties import random_function_partition, random_partition
 from qde.states import StateFunctional, mix, relative_entropy_report, total_functional
 
 from conftest import PLUS
@@ -218,6 +218,89 @@ def test_only_exactly_diagonal_maps_keep_the_commutative_algebra():
     after = diagonal.total_predual(state)
     assert after.algebra is state.algebra
     assert np.abs(after.density - diagonal.total_predual(_dense(state)).density).max() <= TOL
+
+
+def _diagonal_map(rng, count, d, complex_entries):
+    """A sub-unital map of `count` exactly diagonal Kraus elements with nonzero diagonals."""
+    diag = rng.uniform(0.1, 1.0, size=(count, d)) * rng.choice([-1.0, 1.0], size=(count, d))
+    if complex_entries:
+        diag = diag * np.exp(2j * np.pi * rng.random((count, d)))
+    diag = diag / np.sqrt((np.abs(diag) ** 2).sum(axis=0).max())
+    return KrausMap(tuple(np.diag(row) for row in diag))
+
+
+def _dense_product(first, second):
+    """The batched matmul that forms {L @ K}, K-major, for any factors."""
+    prod = second._stack[None, :, :, :] @ first._stack[:, None, :, :]
+    return prod.reshape(-1, second.dim_out, first.dim_in)
+
+
+def test_diagonal_products_match_the_dense_matmul(rng):
+    eps = np.finfo(float).eps
+    for t in range(200):
+        complex_entries = t % 2 == 1
+        d = 1 + t % 6
+        first = _diagonal_map(rng, int(rng.integers(1, 5)), d, complex_entries)
+        second = _diagonal_map(rng, int(rng.integers(1, 5)), d, complex_entries)
+        assert first._diagonal_weights is not None and second._diagonal_weights is not None
+        fast, dense = _product_kraus(first, second), _dense_product(first, second)
+        assert fast.shape == dense.shape
+        if not complex_entries:
+            # a real product has one rounding either way
+            assert np.array_equal(fast, dense)
+            continue
+        # a complex product rounds differently when the GEMM fuses multiply and add;
+        # either rounding is within 1.5 eps of |l| |k|, so the two differ by less than 4 eps
+        k = np.abs(np.diagonal(first._stack, axis1=1, axis2=2))
+        l = np.abs(np.diagonal(second._stack, axis1=1, axis2=2))
+        scale = (k[:, None, :] * l[None, :, :]).reshape(-1, d)
+        gap = fast - dense
+        assert (np.abs(np.diagonal(gap, axis1=1, axis2=2)) <= 4 * eps * scale).all()
+        assert np.count_nonzero(fast) == np.count_nonzero(np.diagonal(fast, axis1=1, axis2=2))
+        assert np.count_nonzero(gap) == np.count_nonzero(np.diagonal(gap, axis1=1, axis2=2))
+
+
+def test_diagonal_unit_image_is_real_and_sums_the_kraus_squares(rng):
+    for t in range(40):
+        m = _diagonal_map(rng, 1 + t % 4, 1 + t % 6, t % 2 == 1)
+        assert m.unit_image.dtype == np.float64
+        expected = sum(k.conj().T @ k for k in m.kraus)
+        assert np.abs(m.unit_image - expected).max() <= 1e-15
+
+
+def test_an_off_diagonal_entry_past_the_first_element_takes_the_dense_path():
+    leaky = np.diag([0.5, 0.5, 0.5]).astype(complex)
+    leaky[2, 1] = 1e-300
+    m = KrausMap((np.diag([0.5, 0.5, 0.5]), leaky))
+    assert m._diagonal_weights is None
+    assert m.unit_image.dtype == np.complex128
+    diagonal = KrausMap((np.diag([0.6, 0.8, 1.0]),))
+    for first, second in ((m, diagonal), (diagonal, m), (m, m)):
+        product = _product_kraus(first, second)
+        assert np.array_equal(product, _dense_product(first, second))
+    assert predual_apply(m, _diagonal([0.5, 0.3, 0.2])).algebra.blocks == (3,)
+
+
+def test_diagonal_by_dense_compose_matches_the_dense_product(rng):
+    diagonal = Partition(
+        (KrausMap((np.diag([1.0, 0.6, 0.0]),)), KrausMap((np.diag([0.0, 0.8, 1.0]),)))
+    )
+    dense = random_partition(rng, 3, outcomes=2, kraus_per_map=2)
+    for zeta, eta in ((diagonal, dense), (dense, diagonal)):
+        joint = compose(zeta, eta)
+        assert joint.size == zeta.size * eta.size
+        for m, (mi, mj) in zip(joint.maps, ((a, b) for a in zeta.maps for b in eta.maps)):
+            assert m.label == (mi.label, mj.label)
+            expected = np.array([l @ k for k in mi.kraus for l in mj.kraus])
+            assert np.abs(m._stack - expected).max() <= 1e-15
+
+
+def test_diagonal_maps_keep_the_sub_unitality_check():
+    with pytest.raises(ValidationFailure, match="sub-unital"):
+        KrausMap((np.diag([math.sqrt(1.0 + 1e-6), 0.5]),))
+    with pytest.raises(ValidationFailure, match="sub-unital"):
+        KrausMap((np.diag([math.sqrt(0.5 + 5e-7), 0.5]), np.diag([math.sqrt(0.5), 0.5])))
+    assert KrausMap((np.diag([1.0, 0.5]),)).unit_image[0, 0] == 1.0
 
 
 def test_dense_engine_meets_the_markov_rate_on_the_full_algebra():

@@ -23,11 +23,24 @@ from qde.partitions import (
     tensor_partition,
     vn_partition,
 )
-from qde.properties import random_invariant_state, random_partition, random_unitary
+from qde.properties import (
+    random_invariant_state,
+    random_partition,
+    random_state,
+    random_unitary,
+)
 from qde.states import StateFunctional, mix, product_state
 
 from conftest import LN2, MINUS, P0, P1, PLUS, SX
-from oracles import brute_force_an, classical_part, info_from_branches, shannon
+from oracles import (
+    brute_force_an,
+    classical_part,
+    dag,
+    info_from_branches,
+    predual,
+    shannon,
+    word_branches,
+)
 
 
 def z_partition():
@@ -362,3 +375,50 @@ def test_information_additive_under_products(rng):
         lhs = information(product_state(phi1, phi2), tensor_partition(z1, z2)).total_H
         rhs = information(phi1, z1).total_H + information(phi2, z2).total_H
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+# --- rank-1 joins -------------------------------------------------------------
+
+
+def _rank_one_projective(rng, d):
+    """The projective partition onto a random orthonormal basis."""
+    basis = random_unitary(rng, d)
+    return vn_partition([np.outer(basis[:, j], basis[:, j].conj()) for j in range(d)])
+
+
+def _transported(u, zeta, k):
+    """The Kraus families of theta^{-k}(zeta) for theta = conjugation by u."""
+    v = np.linalg.matrix_power(dag(u), k)
+    return [[v @ kraus @ dag(v) for kraus in m.kraus] for m in zeta.maps]
+
+
+def test_rank_one_join_information_is_the_entropy_of_the_last_marginal(rng):
+    """If the last factor of a join has only rank-1 Kraus elements, each
+    branch is a multiple of one of that factor's orthogonal output
+    projectors, so the join's information is the Shannon entropy of the last
+    factor's outcome marginal.  The marginal comes from explicit word
+    enumeration."""
+    for d in (2, 3, 4):
+        for n in (1, 2, 3, 4):
+            zeta = _rank_one_projective(rng, d)
+            u = random_unitary(rng, d)
+            phi = random_state(rng, d)
+            past = refinement(Automorphism(u), zeta, n)
+            past_steps = [_transported(u, zeta, k) for k in range(1, n + 1)]
+            first = [list(m.kraus) for m in zeta.maps]
+            for join, steps in ((past, past_steps), (compose(zeta, past), [first] + past_steps)):
+                before_last = sum(word_branches(phi.density, steps[:-1]))
+                marginal = [np.trace(predual(fam, before_last)).real for fam in steps[-1]]
+                assert abs(information(phi, join).total_H - shannon(marginal)) <= 1e-12, (d, n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rank_one_projective_partitions_generate_no_entropy(rng, d):
+    """a_n = 0 at every depth: both informations in a_n are the entropy of
+    the same last marginal.  The invariant state is not the tracial one, so
+    the state after zeta differs from phi."""
+    u = random_unitary(rng, d)
+    phi = random_invariant_state(rng, u)
+    seq = an_sequence(phi, Automorphism(u), _rank_one_projective(rng, d), 5)
+    assert seq.depth == 5
+    assert all(abs(v) <= 1e-12 for v in seq.values)
