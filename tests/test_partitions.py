@@ -270,7 +270,7 @@ def test_pinching_zero_weight_block_keeps_unity():
 
 def test_choi_round_trip(rng):
     m = random_partition(rng, 2, 3, outcomes=1, kraus_per_map=4).maps[0]
-    rebuilt = kraus_from_choi(choi_matrix(m), m.dim_in, m.dim_out)
+    (rebuilt,) = kraus_from_choi(choi_matrix(m)[None], m.dim_in, m.dim_out, [None])
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     x = x + dagger(x)
     assert np.linalg.norm(rebuilt.apply(x) - m.apply(x)) < 1e-10
@@ -292,16 +292,24 @@ def test_compress_preserves_action(rng):
 
 
 def test_compose_builds_each_composite_once(rng, monkeypatch):
+    """compose builds a composite through `KrausMap.__post_init__` (a pair of
+    exactly diagonal maps that needs no compression) or in a batch through
+    `KrausMap._stacked`; both constructors are counted."""
     zeta = random_partition(rng, 2, 2, outcomes=2, kraus_per_map=3)
     eta = random_partition(rng, 2, 2, outcomes=2, kraus_per_map=3)
-    validate = KrausMap.__post_init__
+    validate, stacked = KrausMap.__post_init__, KrausMap._stacked.__func__
     builds = []
 
     def counting(self):
         builds.append(self.label)
         validate(self)
 
+    def counting_stacked(cls, stacks, labels):
+        builds.extend(labels)
+        return stacked(cls, stacks, labels)
+
     monkeypatch.setattr(KrausMap, "__post_init__", counting)
+    monkeypatch.setattr(KrausMap, "_stacked", classmethod(counting_stacked))
     joint = compose(zeta, eta)
     assert builds == [(i, j) for i in zeta.labels for j in eta.labels]
     rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
@@ -311,6 +319,13 @@ def test_compose_builds_each_composite_once(rng, monkeypatch):
         second = eta.maps[eta.labels.index(m.label[1])]
         expected = _explicit_composite_predual(first, second, rho)
         assert np.linalg.norm(m.predual(rho) - expected) < 1e-12
+    # diagonal pairs, and batches of several Kraus counts: still one build each
+    diagonal = Partition((KrausMap((np.diag([1.0, 0.6]),)), KrausMap((np.diag([0.0, 0.8]),))))
+    inner = compose(joint, diagonal)
+    builds.clear()
+    joint = compose(diagonal, inner)
+    assert sorted(builds, key=repr) == sorted(joint.labels, key=repr)
+    assert len(set(builds)) == diagonal.size * inner.size == 16
 
 
 def test_every_random_partition_validates(rng):
