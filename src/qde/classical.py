@@ -23,7 +23,7 @@ from . import defaults
 from .dynamics import EntropySequence, _sequence_from
 from .errors import DimensionMismatch, ResourceCapExceeded, ValidationFailure
 from .linalg import BlockAlgebra
-from .partitions import KrausMap, Partition
+from .partitions import KrausMap, Partition, _Diagonals
 from .states import StateFunctional
 
 
@@ -65,6 +65,8 @@ class FunctionPartition:
         v = np.abs(np.asarray(self.values, dtype=float))  # canonical nonnegative choice
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValidationFailure("function table must be a nonempty 2-d array")
+        if not np.isfinite(v).all():  # a NaN would pass the unity check below
+            raise ValidationFailure("function table has non-finite entries")
         unity = np.abs((v**2).sum(axis=0) - 1.0).max()
         if unity > defaults.FUNCTION_UNITY_TOL:
             raise ValidationFailure(f"squares do not sum to one pointwise (residual {unity:.3e})")
@@ -371,14 +373,14 @@ def embed_diagonal(
     space: FiniteSpace, zeta: FunctionPartition
 ) -> tuple[StateFunctional, Partition]:
     """Diagonal-algebra embedding: the measure as a diagonal density, each
-    function as a single diagonal Kraus element."""
+    function as a single diagonal Kraus element, held as its row."""
     if zeta.points != space.size:
         raise DimensionMismatch(f"partition on {zeta.points} points, space has {space.size}")
     state = StateFunctional.from_density(
         np.diag(space.measure.astype(complex)), BlockAlgebra.commutative(space.size)
     )
+    rows = zeta.values.astype(complex)
     maps = tuple(
-        KrausMap((np.diag(row.astype(complex)),), label=l)
-        for row, l in zip(zeta.values, zeta.labels)
+        KrausMap(_Diagonals(rows[i : i + 1]), label=l) for i, l in enumerate(zeta.labels)
     )
     return state, Partition(maps)

@@ -20,7 +20,6 @@ zeta and L from eta.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 
@@ -43,55 +42,104 @@ from .linalg import (
 from .states import StateFunctional
 
 
+class _Diagonals:
+    """Exactly diagonal Kraus elements given by their (count, d) complex
+    diagonals; `KrausMap` takes them from qde's own builders only."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+
 @dataclass(frozen=True, eq=False)
 class KrausMap:
     """Completely positive sub-unital map given by a finite Kraus family.
 
     `unit_image` is zeta(I) = sum K^dag K, a read-only dim_in x dim_in
     positive contraction; it is a real diagonal matrix when every Kraus
-    element is exactly diagonal.
+    element is exactly diagonal.  The maps that `compose` and
+    `embed_diagonal` build from exactly diagonal factors hold only their
+    (count, d) diagonals; their dense `kraus`, and the `unit_image` of every
+    exactly diagonal map, are built on first read, once.
     """
 
     kraus: tuple[np.ndarray, ...]
     label: object = None
 
     def __post_init__(self):
-        if len(self.kraus) == 0:
-            raise ValidationFailure("empty Kraus family")
-        # one read-only (count, dim_out, dim_in) stack; the stored elements are views of it
-        try:
-            stack = np.array(self.kraus, dtype=complex, order="C")
-        except ValueError as exc:
-            raise DimensionMismatch(f"Kraus elements of mixed shapes or types: {exc}") from None
-        if stack.ndim != 3 or 0 in stack.shape:
-            raise DimensionMismatch(
-                f"Kraus elements must be nonempty matrices, got shape {stack.shape[1:]}"
-            )
-        weights = _exact_diagonal_weights(stack)
-        self._seal(stack, weights, *_unit_images([stack], [weights]))
+        if type(self.kraus) is _Diagonals:
+            diagonals, stack = self.kraus.rows, None
+            del vars(self)["kraus"]
+        else:
+            if len(self.kraus) == 0:
+                raise ValidationFailure("empty Kraus family")
+            # one read-only (count, dim_out, dim_in) stack; the stored elements are views of it
+            try:
+                stack = np.array(self.kraus, dtype=complex, order="C")
+            except ValueError as exc:
+                raise DimensionMismatch(f"Kraus elements of mixed shapes or types: {exc}") from None
+            if stack.ndim != 3 or 0 in stack.shape:
+                raise DimensionMismatch(
+                    f"Kraus elements must be nonempty matrices, got shape {stack.shape[1:]}"
+                )
+            diagonals = _exact_diagonals(stack)
+        weights = None if diagonals is None else _squares(diagonals)
+        (unit,) = _unit_images([diagonals if stack is None else stack], [weights])
+        self._seal(stack, diagonals, weights, unit)
 
-    def _seal(self, stack: np.ndarray, w, unit: np.ndarray) -> None:
-        stack.setflags(write=False)
-        unit.setflags(write=False)
-        vars(self).update(kraus=tuple(stack), _stack=stack, _diagonal_weights=w, unit_image=unit)
+    def _seal(self, stack, diagonals, weights, unit) -> None:
+        """Stores the validated map; a diagonal map keeps no dense unit image."""
+        own = vars(self)
+        if stack is None:
+            count, d = diagonals.shape
+            own["_shape"] = (count, d, d)
+        else:
+            stack.setflags(write=False)
+            own.update(kraus=tuple(stack), _stack=stack, _shape=stack.shape)
+        if diagonals is None:
+            unit.setflags(write=False)
+            own["unit_image"] = unit
+        else:
+            diagonals.setflags(write=False)
+            weights.setflags(write=False)
+        own.update(_diagonals=diagonals, _diagonal_weights=weights)
+
+    def __getattr__(self, name):
+        # only reached for attributes not yet stored: the dense forms of a
+        # map held by its diagonals
+        own = vars(self)
+        diagonals = own.get("_diagonals")
+        if diagonals is None or name not in ("kraus", "_stack", "unit_image"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if name == "unit_image":
+            unit = np.diag(own["_diagonal_weights"])
+            unit.setflags(write=False)
+            own["unit_image"] = unit
+        else:
+            stack = _dense(diagonals)
+            stack.setflags(write=False)
+            own.update(kraus=tuple(stack), _stack=stack)
+        return own[name]
 
     @classmethod
     def _stacked(cls, stacks, labels) -> list["KrausMap"]:
         """Maps of C-ordered complex Kraus stacks, validated together; seals the stacks in place."""
-        weights = [_exact_diagonal_weights(stack) for stack in stacks]
+        diagonals = [_exact_diagonals(stack) for stack in stacks]
+        weights = [None if diag is None else _squares(diag) for diag in diagonals]
         maps = [object.__new__(cls) for _ in stacks]
         for t, unit in enumerate(_unit_images(stacks, weights)):
             vars(maps[t])["label"] = labels[t]
-            maps[t]._seal(stacks[t], weights[t], unit)
+            maps[t]._seal(stacks[t], diagonals[t], weights[t], unit)
         return maps
 
     @property
     def dim_in(self) -> int:
-        return self._stack.shape[2]
+        return self._shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self._stack.shape[1]
+        return self._shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Heisenberg action on an observable of the output algebra."""
@@ -114,14 +162,14 @@ class KrausMap:
         return _predual_products(self._stack, rho)
 
     def relabel(self, label) -> "KrausMap":
-        """The same validated map under another label, sharing its read-only stack."""
-        twin = copy.copy(self)
-        object.__setattr__(twin, "label", label)
+        """The same validated map under another label, sharing its read-only arrays."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), label=label)
         return twin
 
 
-def _exact_diagonal_weights(stack: np.ndarray) -> np.ndarray | None:
-    """sum_k |K_k,ii|^2 when every element is square and exactly diagonal, else None.
+def _exact_diagonals(stack: np.ndarray) -> np.ndarray | None:
+    """The (count, d) diagonals, a view, when every element is square and exactly diagonal.
 
     Exactly means every off-diagonal entry is 0.0: no tolerance, so no
     off-diagonal mass is ever dropped.  A nonzero [0, 1] or [1, 0] entry of
@@ -135,30 +183,54 @@ def _exact_diagonal_weights(stack: np.ndarray) -> np.ndarray | None:
     diag = np.diagonal(stack, axis1=1, axis2=2)
     if np.count_nonzero(stack) != np.count_nonzero(diag):
         return None
-    return (diag.real**2 + diag.imag**2).sum(axis=0)
+    return diag
+
+
+def _squares(diagonals: np.ndarray) -> np.ndarray:
+    """sum_k |K_k,ii|^2 of (count, d) diagonals: the diagonal of the unit image."""
+    return (diagonals.real**2 + diagonals.imag**2).sum(axis=0)
+
+
+def _dense(diagonals: np.ndarray) -> np.ndarray:
+    """The (count, d, d) stack of diag(row) for (count, d) diagonals."""
+    count, d = diagonals.shape
+    stack = np.zeros((count, d, d), dtype=complex)
+    # the diagonal of a C-ordered d x d matrix is every (d + 1)-th entry
+    stack.reshape(count, -1)[:, :: d + 1] = diagonals
+    return stack
 
 
 _STACK_BYTES = 1 << 17  # Kraus bytes per batch: larger batches add memory, not speed
 
 
-def _unit_images(stacks, weights) -> list[np.ndarray]:
-    """Unit images sum_k K_k^dag K_k of finite (count, dim_out, dim_in) Kraus stacks.
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """Symmetrized rows^dag rows of (..., count * dim_out, dim_in) stacked Kraus rows."""
+    prod = np.swapaxes(rows.conj(), -1, -2) @ rows
+    return 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
 
-    An exactly diagonal stack (`weights` entry not None) has the real image
-    diag(weights); the others take one batched product per Kraus count.  One
-    eigvalsh of all images checks that every map is sub-unital.
+
+def _unit_images(stacks, weights) -> list[np.ndarray]:
+    """Unit images sum_k K_k^dag K_k of finite Kraus stacks.
+
+    A stack is (count, dim_out, dim_in), or the (count, d) diagonals of an
+    exactly diagonal map.  A diagonal map (`weights` entry not None) has the
+    real image diag(weights); the others take one batched product per Kraus
+    count.  One eigvalsh of all images checks that every map is sub-unital.
     """
     if not all(np.isfinite(stack).all() for stack in stacks):
         raise ValidationFailure("Kraus element with non-finite entries")
-    units = [None if w is None else np.diag(w) for w in weights]
-    by_count: dict[int, list[int]] = {}
-    for t in (t for t, unit in enumerate(units) if unit is None):
-        by_count.setdefault(len(stacks[t]), []).append(t)
-    for batch in by_count.values():
-        rows = np.array([stacks[t] for t in batch]).reshape(len(batch), -1, stacks[0].shape[2])
-        prod = rows.conj().transpose(0, 2, 1) @ rows
-        for t, unit in zip(batch, 0.5 * (prod + prod.conj().transpose(0, 2, 1))):
-            units[t] = unit
+    if len(stacks) == 1:  # one map, as in every KrausMap(...) build: no batching
+        stack, w = stacks[0], weights[0]
+        units = [np.diag(w) if w is not None else _gram(stack.reshape(-1, stack.shape[2]))]
+    else:
+        units = [None if w is None else np.diag(w) for w in weights]
+        by_count: dict[int, list[int]] = {}
+        for t in (t for t, unit in enumerate(units) if unit is None):
+            by_count.setdefault(len(stacks[t]), []).append(t)
+        for batch in by_count.values():
+            rows = np.array([stacks[t] for t in batch]).reshape(len(batch), -1, stacks[0].shape[2])
+            for t, unit in zip(batch, _gram(rows)):
+                units[t] = unit
     spectra = np.linalg.eigvalsh(units[0] if len(units) == 1 else np.array(units))
     top = float(spectra[-1] if spectra.ndim == 1 else spectra[:, -1].max())  # ascending
     if top > 1.0 + defaults.SUB_UNITALITY_TOL:
@@ -178,19 +250,19 @@ def _predual_products(stacks: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return _side_by_side(moved) @ np.swapaxes(_side_by_side(stacks).conj(), -1, -2)
 
 
+def _product_diagonals(first: KrausMap, second: KrausMap) -> np.ndarray:
+    """(count, d) diagonals of {L @ K}, K-major, for two exactly diagonal factors."""
+    k, l = first._diagonals, second._diagonals
+    return (k[:, None, :] * l[None, :, :]).reshape(-1, first.dim_in)
+
+
 def _product_kraus(first: KrausMap, second: KrausMap) -> np.ndarray:
     """Kraus stack {L @ K} of first-then-second, K-major.
 
     Exactly diagonal factors multiply their diagonals elementwise.
     """
-    if first._diagonal_weights is not None and second._diagonal_weights is not None:
-        k = np.diagonal(first._stack, axis1=1, axis2=2)
-        l = np.diagonal(second._stack, axis1=1, axis2=2)
-        d = first.dim_in
-        prod = np.zeros((len(k) * len(l), d, d), dtype=complex)
-        # the diagonal of a C-ordered d x d matrix is every (d + 1)-th entry
-        prod.reshape(len(prod), -1)[:, :: d + 1] = (k[:, None, :] * l[None, :, :]).reshape(-1, d)
-        return prod
+    if first._diagonals is not None and second._diagonals is not None:
+        return _dense(_product_diagonals(first, second))
     prod = second._stack[None, :, :, :] @ first._stack[:, None, :, :]
     return prod.reshape(-1, second.dim_out, first.dim_in)
 
@@ -284,7 +356,10 @@ class Partition:
         labels = [m.label for m in maps]
         if len(set(labels)) != len(labels):
             raise ValidationFailure("duplicate outcome labels")
-        resid = frobenius(sum(m.unit_image for m in maps) - np.eye(d_in))
+        if all(m._diagonal_weights is not None for m in maps):
+            resid = frobenius(sum(m._diagonal_weights for m in maps) - 1.0)
+        else:
+            resid = frobenius(sum(m.unit_image for m in maps) - np.eye(d_in))
         object.__setattr__(self, "unit_sum_residual", resid)
         if resid > defaults.UNIT_SUM_TOL:
             raise ValidationFailure(f"unit images sum off identity by {resid:.3e}")
@@ -342,7 +417,7 @@ class Partition:
             on_diagonal = omega.algebra.is_commutative and m._diagonal_weights is not None
             if on_diagonal:
                 out[t] = _diagonal_predual(m._diagonal_weights, omega)
-            keys.append(None if on_diagonal else (len(m.kraus),))
+            keys.append(None if on_diagonal else (m._shape[0],))
         full = BlockAlgebra.full(self.dim_out)
         for batch in _batches(keys, self.dim_in * self.dim_out):
             dens = _predual_products(np.array([self.maps[t]._stack for t in batch]), omega.density)
@@ -371,8 +446,9 @@ def compose(zeta: Partition, eta: Partition) -> Partition:
     Outcome (i, j) has Kraus family {L @ K}, replaced by a minimal family
     when it has more than dim_in * dim_out elements; its predual applies
     zeta_i then eta_j to states.  Each composite map is built once: one by
-    one for two exactly diagonal maps that need no compression, else in
-    batches of equal Kraus counts (one product, Choi eigh and eigvalsh each).
+    one, from the product of their diagonals, for two exactly diagonal maps
+    that need no compression, else in batches of equal Kraus counts (one
+    product, Choi eigh and eigvalsh each).
     """
     if eta.dim_in != zeta.dim_out:
         raise DimensionMismatch(
@@ -382,11 +458,11 @@ def compose(zeta: Partition, eta: Partition) -> Partition:
     pairs = [(mi, mj) for mi in zeta.maps for mj in eta.maps]
     maps, keys = {}, []
     for t, (mi, mj) in enumerate(pairs):
-        key = (len(mi.kraus) * len(mj.kraus), len(mi.kraus), len(mj.kraus))
-        diagonal = mi._diagonal_weights is not None and mj._diagonal_weights is not None
+        key = (mi._shape[0] * mj._shape[0], mi._shape[0], mj._shape[0])
+        diagonal = mi._diagonals is not None and mj._diagonals is not None
         if diagonal and key[0] <= d_in * d_out:
             # one build and eigvalsh per pair, as qdebench/selfcheck.py counts them
-            maps[t] = KrausMap(_product_kraus(mi, mj), (mi.label, mj.label))
+            maps[t] = KrausMap(_Diagonals(_product_diagonals(mi, mj)), (mi.label, mj.label))
         keys.append(None if t in maps else (*key, diagonal))
     for batch in _batches(keys, d_in * d_out):
         firsts, seconds = [pairs[t][0] for t in batch], [pairs[t][1] for t in batch]

@@ -304,6 +304,17 @@ def test_permutation_matrix_and_validation():
         FunctionPartition(np.array([[1.0, 0.5], [0.0, 0.5]]))
 
 
+def test_non_finite_function_values_fail_closed():
+    with pytest.raises(ValidationFailure, match="non-finite"):
+        FunctionPartition([[math.nan, 1.0], [0.0, 0.0]])
+    # the embedding's diagonal maps check finiteness themselves: a table that
+    # skipped the constructor still fails there
+    zeta = object.__new__(FunctionPartition)
+    vars(zeta).update(values=np.array([[math.nan, 1.0], [0.0, 0.0]]), labels=(0, 1))
+    with pytest.raises(ValidationFailure, match="non-finite"):
+        embed_diagonal(FiniteSpace.uniform(2), zeta)
+
+
 def test_sequences_reject_depth_below_one():
     shift = SymbolicShift(np.array([[0.8, 0.2], [0.3, 0.7]]))
     with pytest.raises(ValidationFailure):

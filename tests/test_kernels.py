@@ -6,22 +6,27 @@ formula it replaces, at the sizes the library and its benchmark use.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qde.classical import SymbolicShift, embed_diagonal
 from qde.errors import DimensionMismatch, NotPositiveSemidefinite, ValidationFailure
-from qde import partitions
+from qde import defaults, partitions
 from qde.linalg import BlockAlgebra
+from qde.properties import random_partition
 from qde.partitions import (
     Automorphism,
     KrausMap,
     Partition,
+    _Diagonals,
     choi_matrix,
     compose,
     conjugate,
     kraus_from_choi,
     predual_apply,
+    tensor_partition,
 )
 from qde.states import DivergenceEngine, StateFunctional, mix, total_functional
 
@@ -478,3 +483,136 @@ def test_branch_preduals_match_the_oracle(rng, monkeypatch, budget):
                     assert np.array_equal(branch.density, single.density)
                     assert branch.algebra.blocks == single.algebra.blocks
                     assert not branch.density.flags.writeable
+
+
+# --- maps held by their diagonals -----------------------------------------------------
+
+
+def _held_partition(rng, d, counts):
+    """Maps held by complex (count, d) diagonals with the given Kraus counts,
+    scaled to a partition, and their twins built from the same diagonals as
+    dense matrices through the public constructor."""
+    rows = [rng.normal(size=(c, d)) + 1j * rng.normal(size=(c, d)) for c in counts]
+    total = sum((np.abs(r) ** 2).sum(axis=0) for r in rows)
+    rows = [r / np.sqrt(total) for r in rows]
+    held = Partition(tuple(KrausMap(_Diagonals(r.copy()), label=t) for t, r in enumerate(rows)))
+    dense = Partition(
+        tuple(KrausMap(tuple(np.diag(x) for x in r), label=t) for t, r in enumerate(rows))
+    )
+    return held, dense
+
+
+def _assert_same_dense_forms(got, want):
+    assert np.array_equal(got._stack, want._stack)
+    assert len(got.kraus) == len(want.kraus)
+    assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want.kraus))
+    assert np.array_equal(got.unit_image, want.unit_image)
+    assert got.unit_image.dtype == want.unit_image.dtype
+    assert not got._stack.flags.writeable and not got.unit_image.flags.writeable
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_diagonal_held_maps_equal_their_dense_twins_bitwise(rng, d):
+    held, dense = _held_partition(rng, d, (1, 3, 2))
+    probs = rng.random(d) + 0.1
+    commutative = StateFunctional.from_density(
+        np.diag(probs / probs.sum()).astype(complex), BlockAlgebra.commutative(d)
+    )
+    full = StateFunctional.from_density(random_density(rng, d))
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for h, r in zip(held.maps, dense.maps):
+        twin = h.relabel("twin")  # before any dense form exists
+        assert h._diagonals is not None and not {"kraus", "_stack", "unit_image"} & set(vars(h))
+        assert np.array_equal(h._diagonals, r._diagonals)
+        assert np.array_equal(h._diagonal_weights, r._diagonal_weights)
+        for omega in (commutative, full):
+            got, want = predual_apply(h, omega), predual_apply(r, omega)
+            assert np.array_equal(got.density, want.density)
+            assert got.algebra.blocks == want.algebra.blocks
+            # an image on a commutative algebra reads the weights only
+            assert omega.algebra.is_commutative != ("_stack" in vars(h))
+        assert np.array_equal(h.apply(x), r.apply(x))
+        assert np.array_equal(h.predual(full.density), r.predual(full.density))
+        assert np.array_equal(choi_matrix(h), choi_matrix(r))
+        _assert_same_dense_forms(h, r)
+        _assert_same_dense_forms(twin, r)
+        assert twin.label == "twin" and h.label == r.label
+    for omega in (commutative, full):
+        for got, want in zip(held.branch_preduals(omega), dense.branch_preduals(omega)):
+            assert np.array_equal(got.density, want.density)
+    theta = Automorphism(random_unitary(rng, d))
+    for got, want in zip(conjugate(theta, held).maps, conjugate(theta, dense).maps):
+        _assert_same_dense_forms(got, want)
+    small, small_dense = _held_partition(rng, 2, (2, 1))
+    for got, want in zip(
+        tensor_partition(held, small).maps, tensor_partition(dense, small_dense).maps
+    ):
+        assert got.label == want.label
+        _assert_same_dense_forms(got, want)
+
+
+def test_compose_of_diagonal_held_maps_equals_the_per_pair_reference(rng):
+    """diag x diag within d^2 products (held), past it (Choi-compressed) and diag x dense."""
+    uncompressed = _held_partition(rng, 3, (1, 2, 3)), _held_partition(rng, 3, (3, 1, 2))
+    compressed = _held_partition(rng, 2, (3, 1)), _held_partition(rng, 2, (2, 1))
+    (mixed, mixed_dense), other = _held_partition(rng, 3, (2, 1)), random_partition(rng, 3)
+    cases = [
+        (uncompressed[0], uncompressed[1]),
+        (compressed[0], compressed[1]),
+        ((mixed, mixed_dense), (other, other)),
+        ((other, other), (mixed, mixed_dense)),
+    ]
+    for (zeta, zeta_dense), (eta, eta_dense) in cases:
+        joint, joint_dense = compose(zeta, eta), compose(zeta_dense, eta_dense)
+        pairs = [(a, b) for a in zeta_dense.maps for b in eta_dense.maps]
+        for m, m_dense, (first, second) in zip(joint.maps, joint_dense.maps, pairs):
+            assert m.label == m_dense.label == (first.label, second.label)
+            both_diagonal = first._diagonals is not None and second._diagonals is not None
+            count = len(first.kraus) * len(second.kraus)
+            if both_diagonal and count <= first.dim_in**2:
+                assert m._diagonals is not None and "_stack" not in vars(m)
+            stack, unit = _reference_composite(first, second)
+            assert np.array_equal(m._stack, stack) and np.array_equal(m_dense._stack, stack)
+            assert np.array_equal(m.unit_image, unit) and np.array_equal(m_dense.unit_image, unit)
+    assert any(len(m.kraus) < 6 for m in compose(*(p[0] for p in compressed)).maps)
+
+
+def test_diagonal_held_maps_fail_closed():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationFailure, match="non-finite"):
+            KrausMap(_Diagonals(np.array([[0.5, bad]], dtype=complex)))
+    over = math.sqrt(1.0 + 2 * defaults.SUB_UNITALITY_TOL)
+    with pytest.raises(ValidationFailure, match=r"not sub-unital: max eigenvalue 1\.000000002000$"):
+        KrausMap(_Diagonals(np.array([[over, 0.5]], dtype=complex)))
+    rows = np.array([[math.sqrt(0.5 + 1e-8), 0.5], [math.sqrt(0.5), 0.5]], dtype=complex)
+    with pytest.raises(ValidationFailure, match="sub-unital"):  # two elements past 1 together
+        KrausMap(_Diagonals(rows))
+    tiny = np.diag([1.0, 0.5, 0.5]).astype(complex)
+    tiny[2, 0] = 1e-300  # off-diagonal but nonzero: the map stays dense
+    leaky = KrausMap((tiny,))
+    assert leaky._diagonals is None and leaky._diagonal_weights is None
+    assert np.array_equal(leaky._stack[0], tiny) and leaky.unit_image.dtype == complex
+    for flat in (np.eye(2), np.diag([1.0, 0.5])):
+        with pytest.raises(DimensionMismatch):
+            KrausMap(flat)
+
+
+def test_composing_the_largest_markov_window_keeps_no_dense_stacks():
+    shift = SymbolicShift(np.array([[0.7, 0.3], [0.2, 0.8]]))
+    space = shift.word_space(7)
+    _, q_present = embed_diagonal(space, shift.coordinate_indicator(7, [6]))
+    _, q_past = embed_diagonal(space, shift.coordinate_indicator(7, range(6)))
+    assert q_present.dim_in == 128 and q_past.size == 64
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        joint = compose(q_present, q_past)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # dense diagonal stacks and unit images of the 128 composites would take about 48 MB
+    assert grown < 4 * 2**20
+    first, second = q_present.maps[1], q_past.maps[5]
+    m = joint.maps[q_past.size + 5]
+    assert m.label == (first.label, second.label) and len(m.kraus) == 1
+    assert np.array_equal(m.kraus[0], np.diag(np.diag(first.kraus[0]) * np.diag(second.kraus[0])))
