@@ -211,8 +211,9 @@ class BlockAlgebra:
         return cls((dim,))
 
     @classmethod
+    @functools.cache
     def commutative(cls, points: int) -> "BlockAlgebra":
-        """Diagonal algebra on `points` points, as all-1 blocks."""
+        """Diagonal algebra on `points` points, as all-1 blocks; one shared instance per size."""
         return cls((1,) * points)
 
     @property
@@ -236,6 +237,10 @@ class BlockAlgebra:
     def off_block_norm(self, m: np.ndarray) -> float:
         if len(self.blocks) == 1:
             return 0.0
+        if self.is_commutative:  # every off-diagonal entry is off the blocks: no mask
+            off = np.array(m, dtype=complex)
+            np.fill_diagonal(off, 0.0)
+            return float(np.linalg.norm(off))
         return float(np.linalg.norm(np.where(self._mask, 0.0, m)))
 
     def project(self, m: np.ndarray) -> np.ndarray:

@@ -268,11 +268,12 @@ def _product_kraus(first: KrausMap, second: KrausMap) -> np.ndarray:
 
 
 def _diagonal_predual(weights: np.ndarray, omega: StateFunctional) -> StateFunctional:
-    """diag(weights * rho_ii) on omega's algebra: a diagonal map's image of a diagonal omega."""
+    """diag(weights * rho_ii) on omega's algebra, held as its diagonal: a
+    diagonal map's image of a diagonal omega."""
     # a real diagonal is exactly hermitian, so it is not symmetrized
-    out = np.diag((weights * omega.density.diagonal().real).astype(complex))
+    out = (weights * omega._entries().real).astype(complex)
     out.setflags(write=False)
-    return StateFunctional(omega.algebra, out)
+    return StateFunctional(omega.algebra, diagonal=out)
 
 
 def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:

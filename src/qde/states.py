@@ -35,12 +35,39 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateFunctional:
-    """Positive functional held as a (possibly sub-normalized) density matrix."""
+    """Positive functional held as a (possibly sub-normalized) density matrix.
+
+    A functional on an all-1-block algebra that `from_density` or qde's own
+    operations build holds only its read-only complex diagonal; its dense
+    `density` is built once, on first read.
+    """
 
     algebra: BlockAlgebra
-    density: np.ndarray
+
+    def __init__(self, algebra: BlockAlgebra, density=None, *, diagonal=None):
+        own = vars(self)
+        own["algebra"] = algebra
+        own["_diagonal"] = diagonal  # the held diagonal, or None
+        if diagonal is None:
+            own.update(density=density, dim=density.shape[0])
+        else:
+            own["dim"] = diagonal.shape[0]
+
+    # a dense functional stores its density, which shadows this descriptor;
+    # a __getattr__ would slow every attribute read instead
+    @lazy_attribute
+    def density(self) -> np.ndarray:
+        """The read-only dense density matrix."""
+        density = np.diag(self._diagonal)
+        density.setflags(write=False)
+        return density
+
+    def _entries(self) -> np.ndarray:
+        """The complex diagonal of the density, held or read from the dense form."""
+        diagonal = self._diagonal
+        return self.density.diagonal() if diagonal is None else diagonal
 
     @classmethod
     def from_density(
@@ -60,14 +87,16 @@ class StateFunctional:
         off = algebra.off_block_norm(density)
         if off > defaults.HERMITICITY_TOL:
             raise ValidationFailure(f"density has off-block mass {off:.3e}")
+        if algebra.is_commutative:
+            # on an all-1-block algebra the projected density is its diagonal
+            diagonal = density.diagonal().copy()
+            if check_positive:
+                clamp_psd_spectrum(diagonal.real)
+            diagonal.setflags(write=False)
+            return cls(algebra, diagonal=diagonal)
         density = algebra.project(density)
         if check_positive:
-            # on an all-1-block algebra the projected density is diagonal
-            clamp_psd_spectrum(
-                density.diagonal().real
-                if algebra.is_commutative
-                else np.linalg.eigvalsh(density)
-            )
+            clamp_psd_spectrum(np.linalg.eigvalsh(density))
         density = density.copy()
         density.setflags(write=False)
         return cls(algebra, density)
@@ -93,13 +122,10 @@ class StateFunctional:
     def maximally_mixed(cls, dim: int) -> "StateFunctional":
         return cls.from_density(np.eye(dim, dtype=complex) / dim)
 
-    @property
-    def dim(self) -> int:
-        return self.density.shape[0]
-
     @lazy_attribute
     def weight(self) -> float:
-        return float(self.density.trace().real)
+        diagonal = self._diagonal
+        return float(self.density.trace().real if diagonal is None else diagonal.sum().real)
 
     def require_normalized(self, what: str = "state") -> None:
         if not abs(self.weight - 1.0) <= 1e-8:  # a NaN weight fails too
@@ -113,6 +139,10 @@ class StateFunctional:
         """
         if not 0.0 <= factor < math.inf:  # a NaN factor fails too
             raise ValidationFailure(f"scaling factor {factor} outside [0, inf)")
+        if self._diagonal is not None:
+            diagonal = factor * self._diagonal
+            diagonal.setflags(write=False)
+            return StateFunctional(self.algebra, diagonal=diagonal)
         density = factor * self.density
         density.setflags(write=False)
         return StateFunctional(self.algebra, density)
@@ -135,6 +165,18 @@ def _common_algebra(parts) -> BlockAlgebra:
     return BlockAlgebra.full(parts[0].dim)
 
 
+def _held(parts, algebra: BlockAlgebra) -> bool:
+    """Whether every operand holds its diagonal on the shared commutative algebra."""
+    return algebra.is_commutative and all(part._diagonal is not None for part in parts)
+
+
+def _trusted_diagonal(diagonal: np.ndarray, algebra: BlockAlgebra) -> StateFunctional:
+    """`StateFunctional._trusted` of diag(diagonal), held as its diagonal."""
+    diagonal = 0.5 * (diagonal + diagonal.conj())
+    diagonal.setflags(write=False)
+    return StateFunctional(algebra, diagonal=diagonal)
+
+
 def total_functional(parts) -> StateFunctional:
     """The sum of a nonempty family of functionals, built as one functional."""
     parts = list(parts)
@@ -142,8 +184,12 @@ def total_functional(parts) -> StateFunctional:
         raise ValidationFailure("empty decomposition")
     if any(part.dim != parts[0].dim for part in parts):
         raise DimensionMismatch("adding functionals of different dimension")
+    algebra = _common_algebra(parts)
+    if _held(parts, algebra):
+        diagonals = [part._diagonal for part in parts]
+        return _trusted_diagonal(sum(diagonals[1:], diagonals[0]), algebra)
     densities = [part.density for part in parts]
-    return StateFunctional._trusted(sum(densities[1:], densities[0]), _common_algebra(parts))
+    return StateFunctional._trusted(sum(densities[1:], densities[0]), algebra)
 
 
 def mix(a: StateFunctional, b: StateFunctional, lam: float) -> StateFunctional:
@@ -152,9 +198,10 @@ def mix(a: StateFunctional, b: StateFunctional, lam: float) -> StateFunctional:
         raise ValidationFailure(f"mixing weight {lam} outside [0, 1]")
     if a.dim != b.dim:
         raise DimensionMismatch("mixing functionals of different dimension")
-    return StateFunctional._trusted(
-        (1.0 - lam) * a.density + lam * b.density, _common_algebra((a, b))
-    )
+    algebra = _common_algebra((a, b))
+    if _held((a, b), algebra):
+        return _trusted_diagonal((1.0 - lam) * a._diagonal + lam * b._diagonal, algebra)
+    return StateFunctional._trusted((1.0 - lam) * a.density + lam * b.density, algebra)
 
 
 def product_state(a: StateFunctional, b: StateFunctional) -> StateFunctional:
@@ -167,7 +214,10 @@ def product_state(a: StateFunctional, b: StateFunctional) -> StateFunctional:
 def von_neumann_entropy(phi: StateFunctional) -> float:
     """S(phi) = -tr(rho ln rho) for a normalized state, in nats."""
     phi.require_normalized()
-    w = clamp_psd_spectrum(np.linalg.eigvalsh(phi.density))
+    # a held diagonal is its own spectrum; sorted, it is what eigvalsh returns
+    diagonal = phi._diagonal
+    w = np.sort(diagonal.real) if diagonal is not None else np.linalg.eigvalsh(phi.density)
+    w = clamp_psd_spectrum(w)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
 
@@ -201,7 +251,7 @@ class DivergenceEngine:
         if self.degenerate:
             return
         if phi.algebra.is_commutative:
-            q = clamp_psd_spectrum(phi.density.diagonal().real)
+            q = clamp_psd_spectrum(phi._entries().real)
             top = q.max()
             self._basis = None
         else:
@@ -223,13 +273,12 @@ class DivergenceEngine:
             return DivergenceReport(0.0, 0.0, 0.0, 0.0)
         if self.degenerate:
             return DivergenceReport(math.inf, weight, 0.0, 0.0)
-        rho = omega.density
         commutative = omega.algebra.is_commutative
         if commutative:
-            p = clamp_psd_spectrum(rho.diagonal().real)
+            p = clamp_psd_spectrum(omega._entries().real)
             top = float(p.max())
         else:
-            p = _clamp_ascending(np.linalg.eigvalsh(rho))
+            p = _clamp_ascending(np.linalg.eigvalsh(omega.density))
             top = float(p[0])
         kept_p = p[p > defaults.SUPPORT_CUTOFF * top]
         # a descending dense spectrum keeps a prefix, whose last entry is its smallest
@@ -239,8 +288,9 @@ class DivergenceEngine:
         # one GEMM for rho V, then a column-wise product-sum with conj(V);
         # a diagonal reference has V = I
         if self._basis is None:
-            m = np.maximum(rho.diagonal().real, 0.0)
+            m = np.maximum(omega._entries().real, 0.0)
         else:
+            rho = omega.density
             m = np.maximum((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0)
         # a reference that keeps its whole spectrum leaves no mass off its support
         off_mass = 0.0 if self._drop is None else float(m[self._drop].sum())
@@ -269,6 +319,8 @@ def relative_entropy(omega: StateFunctional, phi: StateFunctional) -> float:
 
 def trace_distance(a: StateFunctional, b: StateFunctional) -> float:
     """Trace norm of the density difference."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions {a.dim} vs {b.dim}")
     return trace_norm(a.density - b.density)
 
 
@@ -299,6 +351,8 @@ def decomposition_entropy_gap(parts, phi: StateFunctional) -> float:
     if not parts:
         raise ValidationFailure("empty decomposition")
     phi.require_normalized()
+    if any(part.dim != phi.dim for part in parts):
+        raise DimensionMismatch(f"a part is not of the state's dimension {phi.dim}")
     total = sum(part.density for part in parts)
     mismatch = frobenius(total - phi.density)
     if mismatch > 1e-9:

@@ -196,6 +196,18 @@ def test_trace_distance():
     assert trace_distance(diag_state(1, 0), diag_state(0, 1)) == pytest.approx(2.0)
 
 
+def test_trace_distance_rejects_functionals_of_different_dimension():
+    # a 1 x 1 density would broadcast against the 2 x 2 one
+    with pytest.raises(DimensionMismatch):
+        trace_distance(diag_state(1), diag_state(0.5, 0.5))
+
+
+def test_decomposition_gap_rejects_a_part_of_another_dimension():
+    phi = StateFunctional.maximally_mixed(2)
+    with pytest.raises(DimensionMismatch):
+        decomposition_entropy_gap([phi.scale(0.5), diag_state(0.5)], phi)
+
+
 @pytest.mark.parametrize("factor", [-1.0, -1e-300, math.nan, math.inf])
 def test_scale_rejects_a_factor_outside_zero_to_infinity(factor):
     with pytest.raises(ValidationFailure):
