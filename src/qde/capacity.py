@@ -18,10 +18,10 @@ steps on their outcome weights, each bound certified by `information_gain`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from . import defaults
@@ -32,7 +32,7 @@ from .errors import (
     ResourceCapExceeded,
     ValidationFailure,
 )
-from .linalg import as_hermitian, hermitian_basis
+from .linalg import _eigh, as_hermitian, dagger, hermitian_basis
 from .partitions import KrausMap, Partition, compose, partition_power, vn_partition
 from .states import StateFunctional, product_state, total_functional, von_neumann_entropy
 
@@ -161,46 +161,50 @@ def _gain_from_weights(base, branches: np.ndarray, u: np.ndarray) -> tuple[float
         Ic = base.classical_Hc + sum_j a_j (-ln a_j) - sum_ij q_ij (-ln q_ij).
     As in `information`, a weight at or below WEIGHT_FLOOR contributes 0, and
     a live outcome with a_j <= SUPPORT_CUTOFF max a is off the support of M:
-    its divergence is infinite and the gain undefined.
+    its divergence is infinite and the gain undefined.  The sums run over
+    Python floats: q has a few dozen entries, fewer than one numpy call costs.
     """
-    q = (u.conj() * (branches @ u)).sum(axis=1).real
-    a = q.sum(axis=0)
-    off_support = (a > defaults.WEIGHT_FLOOR) & (a <= defaults.SUPPORT_CUTOFF * a.max())
-    if base.infinite_flag or off_support.any():
+    q = (u.conj() * (branches @ u)).sum(axis=1).real.tolist()
+    a = [sum(column) for column in zip(*q)]
+    floor, edge = defaults.WEIGHT_FLOOR, defaults.SUPPORT_CUTOFF * max(a)
+    if base.infinite_flag or any(floor < a_j <= edge for a_j in a):
         raise ValidationFailure("information gain undefined: infinite divergence encountered")
-    a, q = (np.where(w > defaults.WEIGHT_FLOOR, w, 0.0) for w in (a, q))
-    minus_log_a, minus_log_q = (-np.log(np.where(w > 0.0, w, 1.0)) for w in (a, q))
-    h_after = float(a @ minus_log_a)
-    joint, joint_c = float(np.sum(q * minus_log_a)), float(np.sum(q * minus_log_q))
+    minus_log_a = [-math.log(a_j) if a_j > floor else 0.0 for a_j in a]
+    h_after = sum(a_j * m_j for a_j, m_j in zip(a, minus_log_a))
+    live = [(q_ij, m_j) for row in q for q_ij, m_j in zip(row, minus_log_a) if q_ij > floor]
+    joint = sum(q_ij * m_j for q_ij, m_j in live)
+    joint_c = -sum(q_ij * math.log(q_ij) for q_ij, _ in live)
     return base.total_H + h_after - joint, base.classical_Hc + h_after - joint_c
 
 
-def _rotation(params: np.ndarray, basis) -> np.ndarray:
-    """exp(i H) with H = sum_k params[k] basis[k]."""
-    gen = sum(c * f for c, f in zip(np.asarray(params, dtype=float), basis))
-    return scipy.linalg.expm(1j * gen)
+def _generator(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """H = sum_k params[k] basis[k] over a (k, d, d) basis stack, as one product."""
+    return (params @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])
+
+
+def _rotation(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """exp(i H) of the hermitian generator H, from its spectral decomposition."""
+    w, v = _eigh(_generator(params, basis))
+    return (v * np.exp(1j * w)) @ dagger(v)
 
 
 def projective_measurement(params: np.ndarray, basis) -> Partition:
     """Rank-1 projective measurement in the standard basis rotated by exp(i H).
 
     H = sum_k params[k] basis[k], with `basis` the traceless hermitian basis
-    of the output algebra (`hermitian_basis(dim)`).
+    of the output algebra (`hermitian_basis(dim)`) as a list or a stack.
     """
-    u = _rotation(params, basis)
+    u = _rotation(params, np.asarray(basis))
     projs = [np.outer(u[:, k], u[:, k].conj()) for k in range(len(u))]
     return vn_partition(projs)
 
 
 def product_parameters(params_a: np.ndarray, params_b: np.ndarray, dim: int) -> np.ndarray:
     """Orbit parameters whose unitary is the tensor product of two member unitaries."""
-    basis_small = hermitian_basis(dim)
-    gen_a = sum(c * f for c, f in zip(np.asarray(params_a, dtype=float), basis_small))
-    gen_b = sum(c * f for c, f in zip(np.asarray(params_b, dtype=float), basis_small))
-    eye = np.eye(dim)
-    big = np.kron(gen_a, eye) + np.kron(eye, gen_b)
-    coeffs = [float(np.real(np.trace(f @ big))) for f in hermitian_basis(dim * dim)]
-    return np.asarray(coeffs)
+    basis_small = np.array(hermitian_basis(dim))
+    gen_a, gen_b = (_generator(p, basis_small) for p in (params_a, params_b))
+    big = np.kron(gen_a, np.eye(dim)) + np.kron(np.eye(dim), gen_b)
+    return np.array([np.trace(f @ big).real for f in hermitian_basis(dim * dim)])
 
 
 @dataclass(frozen=True)
@@ -278,7 +282,7 @@ def _optimize(
     base = information(phi_n, code_n)
     # at n = 1 the powers are phi and code themselves, so base is the code information
     h_upper = base.total_H if n == 1 else n * information(phi, code).total_H
-    basis = hermitian_basis(code_n.dim_out)
+    basis = np.array(hermitian_basis(code_n.dim_out))
     index = 0 if which == "information" else 1
     branches = np.stack([m.predual(phi_n.density) for m in code_n.maps])
 
@@ -370,11 +374,7 @@ def capacity_rate(
     for n in range(1, n_max + 1):
         cfg = config
         if n == 2 and prev_params is not None:
-            seeds = []
-            for key in ("information", "classical"):
-                if key in prev_params:
-                    p = np.asarray(prev_params[key])
-                    seeds.append(product_parameters(p, p, code.dim_out))
+            seeds = [product_parameters(p, p, code.dim_out) for p in prev_params.values()]
             cfg = replace(config, extra_initial_points=tuple(seeds))
         report = merged_capacity_report(phi, code, n, cfg)
         reports[n] = report

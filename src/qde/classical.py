@@ -22,7 +22,6 @@ import numpy as np
 from . import defaults
 from .dynamics import EntropySequence, _sequence_from
 from .errors import DimensionMismatch, ResourceCapExceeded, ValidationFailure
-from .linalg import BlockAlgebra
 from .partitions import KrausMap, Partition, _Diagonals
 from .states import StateFunctional
 
@@ -376,9 +375,7 @@ def embed_diagonal(
     function as a single diagonal Kraus element, held as its row."""
     if zeta.points != space.size:
         raise DimensionMismatch(f"partition on {zeta.points} points, space has {space.size}")
-    state = StateFunctional.from_density(
-        np.diag(space.measure.astype(complex)), BlockAlgebra.commutative(space.size)
-    )
+    state = StateFunctional.commutative(space.measure)
     rows = zeta.values.astype(complex)
     maps = tuple(
         KrausMap(_Diagonals(rows[i : i + 1]), label=l) for i, l in enumerate(zeta.labels)

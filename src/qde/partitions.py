@@ -36,6 +36,7 @@ from .linalg import (
     clamp_psd_spectrum,
     dagger,
     frobenius,
+    lazy_attribute,
     spectral_decompose,
     tensor,
 )
@@ -105,22 +106,20 @@ class KrausMap:
             weights.setflags(write=False)
         own.update(_diagonals=diagonals, _diagonal_weights=weights)
 
-    def __getattr__(self, name):
-        # only reached for attributes not yet stored: the dense forms of a
-        # map held by its diagonals
-        own = vars(self)
-        diagonals = own.get("_diagonals")
-        if diagonals is None or name not in ("kraus", "_stack", "unit_image"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if name == "unit_image":
-            unit = np.diag(own["_diagonal_weights"])
-            unit.setflags(write=False)
-            own["unit_image"] = unit
-        else:
-            stack = _dense(diagonals)
-            stack.setflags(write=False)
-            own.update(kraus=tuple(stack), _stack=stack)
-        return own[name]
+    # dense forms built on first read: the Kraus stack of a map held by its
+    # diagonals and the unit image of an exactly diagonal map; the other maps
+    # store them at construction, which shadows these descriptors
+    @lazy_attribute
+    def _stack(self) -> np.ndarray:
+        stack = _dense(self._diagonals)
+        stack.setflags(write=False)
+        return stack
+
+    @lazy_attribute
+    def unit_image(self) -> np.ndarray:
+        unit = np.diag(self._diagonal_weights)
+        unit.setflags(write=False)
+        return unit
 
     @classmethod
     def _stacked(cls, stacks, labels) -> list["KrausMap"]:
@@ -166,6 +165,12 @@ class KrausMap:
         twin = object.__new__(type(self))
         vars(twin).update(vars(self), label=label)
         return twin
+
+
+# `kraus` is a dataclass field, so its descriptor is set on the class only
+# after the decorator has read the class body
+KrausMap.kraus = lazy_attribute(lambda self: tuple(self._stack))
+KrausMap.kraus.__set_name__(KrausMap, "kraus")
 
 
 def _exact_diagonals(stack: np.ndarray) -> np.ndarray | None:

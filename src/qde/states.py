@@ -25,6 +25,7 @@ from .linalg import (
     BlockAlgebra,
     _clamp_ascending,
     as_hermitian,
+    assert_finite,
     clamp_psd_spectrum,
     dagger,
     frobenius,
@@ -100,6 +101,23 @@ class StateFunctional:
         density = density.copy()
         density.setflags(write=False)
         return cls(algebra, density)
+
+    @classmethod
+    def commutative(cls, weights) -> "StateFunctional":
+        """diag(weights) on the commutative algebra of len(weights) points, held as
+        its diagonal: `from_density` of that matrix, with the same finiteness
+        and positivity checks, without building it."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
+            raise DimensionMismatch(f"expected a vector of weights, got shape {weights.shape}")
+        algebra = BlockAlgebra.commutative(weights.size)
+        if not algebra.is_commutative:  # one point: the full algebra's dense path
+            return cls.from_density(np.diag(weights).astype(complex), algebra)
+        assert_finite(weights)
+        clamp_psd_spectrum(weights)
+        diagonal = weights.astype(complex)
+        diagonal.setflags(write=False)
+        return cls(algebra, diagonal=diagonal)
 
     @classmethod
     def _trusted(cls, density: np.ndarray, algebra: BlockAlgebra) -> "StateFunctional":

@@ -22,7 +22,14 @@ from qde.capacity import (
 )
 from qde.errors import PropertyViolation, ResourceCapExceeded, ValidationFailure
 from qde.linalg import hermitian_basis
-from qde.partitions import Partition, partition_power, tensor_partition, vn_partition
+from qde.partitions import (
+    KrausMap,
+    Partition,
+    compose,
+    partition_power,
+    tensor_partition,
+    vn_partition,
+)
 from qde.properties import random_invariant_state, random_partition
 from qde.states import StateFunctional, product_state
 
@@ -354,7 +361,7 @@ def _weight_gains(phi, code, params):
     from qde.dynamics import information
 
     branches = np.stack([m.predual(phi.density) for m in code.maps])
-    u = cap._rotation(params, hermitian_basis(code.dim_out))
+    u = cap._rotation(params, np.array(hermitian_basis(code.dim_out)))
     return cap._gain_from_weights(information(phi, code), branches, u)
 
 
@@ -404,3 +411,64 @@ def test_a_search_value_its_certificate_disputes_raises(monkeypatch):
     cfg = OptimizerConfig(restarts=1, max_iterations=20, seed=0)
     with pytest.raises(PropertyViolation, match="certified"):
         merged_capacity_report(unit_input_state(), zero_plus_ensemble(), 1, cfg)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rotation_is_the_matrix_exponential_of_its_generator(rng, d):
+    import scipy.linalg
+
+    import qde.capacity as cap
+
+    basis = np.array(hermitian_basis(d))
+    degenerate = np.zeros(len(basis))
+    degenerate[-1] = 1.7  # diag(1, .., 1, 1 - d) up to scale: d - 1 equal eigenvalues
+    cases = [rng.uniform(-np.pi, np.pi, len(basis)) for _ in range(5)]
+    for params in cases + [np.zeros(len(basis)), degenerate]:
+        u = cap._rotation(params, basis)
+        generator = sum(c * f for c, f in zip(params, basis))
+        assert np.abs(u - scipy.linalg.expm(1j * generator)).max() < 1e-13
+        assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-13
+    assert np.array_equal(cap._rotation(np.zeros(len(basis)), basis), np.eye(d))
+
+
+def _floor_code(w):
+    """A code on a qubit in the state diag(1 - w, w) whose measurement in the
+    standard basis has exactly one joint weight, q_00 = w, at most 2 WEIGHT_FLOOR.
+
+    Letter 0 is {|0><1|, |1><0|/2}, letter 1 is {|0><0|/2, |1><0|/2, |1><0|/2};
+    every other joint weight, letter weight and outcome weight is near 1/4 or
+    more, so only q_00 meets the floor, and every product is exact in binary.
+    """
+    def unit(row, col, c=1.0):
+        m = np.zeros((2, 2), dtype=complex)
+        m[row, col] = c
+        return m
+
+    code = Partition(
+        (
+            KrausMap((unit(0, 1), unit(1, 0, 0.5)), label=0),
+            KrausMap((unit(0, 0, 0.5), unit(1, 0, 0.5), unit(1, 0, 0.5)), label=1),
+        )
+    )
+    phi = StateFunctional.from_density(np.diag([1.0 - w, w]).astype(complex))
+    q = [[w, (1.0 - w) / 4], [(1.0 - w) / 4, (1.0 - w) / 2]]
+    return phi, code, q
+
+
+@pytest.mark.parametrize("multiple", [1, 2])
+def test_a_joint_weight_at_the_floor_contributes_nothing_on_both_gain_paths(multiple):
+    from qde.dynamics import information
+
+    w = multiple * defaults.WEIGHT_FLOOR
+    phi, code, q = _floor_code(w)
+    eta = z_measurement()
+    assert information(phi, compose(code, eta)).weights[(0, 0)] == w
+    a = [q[0][j] + q[1][j] for j in range(2)]
+    kept = [x for row in q for x in row if x > defaults.WEIGHT_FLOOR]
+    assert len(kept) == 4 - (w == defaults.WEIGHT_FLOOR)
+    expected_c = information(phi, code).classical_Hc + shannon(a) - shannon(kept)
+    # the entry at the floor shifts Ic by w ln(1/w), 3e-13 or more: far above the tolerance
+    assert w * -math.log(w) > 3e-13
+    for gains in (_weight_gains, _library_gains):
+        _, gain_c = gains(phi, code, np.zeros(3))
+        assert gain_c == pytest.approx(expected_c, abs=2e-15)

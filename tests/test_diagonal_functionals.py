@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qde import defaults, partitions
-from qde.classical import SymbolicShift, embed_diagonal
+from qde.classical import FiniteSpace, SymbolicShift, embed_diagonal
 from qde.dynamics import conditional_information, information, information_via_direct_sum
 from qde.errors import DimensionMismatch, NotPositiveSemidefinite, ValidationFailure
 from qde.linalg import BlockAlgebra
@@ -158,6 +158,60 @@ def _markov_instance(length, p=((0.7, 0.3), (0.2, 0.8))):
     state, q_present = embed_diagonal(space, shift.coordinate_indicator(length, [length - 1]))
     _, q_past = embed_diagonal(space, shift.coordinate_indicator(length, range(length - 1)))
     return state, q_present, q_past
+
+
+def test_embed_diagonal_builds_its_state_from_the_measure():
+    shift = SymbolicShift(np.array([[0.7, 0.3], [0.2, 0.8]]))
+    space = shift.word_space(8)
+    zeta = shift.coordinate_indicator(8, [7])
+    embed_diagonal(space, zeta)  # the shared 256-point algebra exists from here on
+    tracemalloc.start()
+    try:
+        state = StateFunctional.commutative(space.measure)
+        state_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        embedded, part = embed_diagonal(space, zeta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 256 x 256 complex density alone takes 1 MB
+    assert state_peak < 0.1e6
+    # the rest is the real 256 x 256 unit image whose eigvalsh checks each map
+    assert peak < 0.1e6 + 256 * 256 * 8
+    reference = StateFunctional.from_density(
+        np.diag(space.measure.astype(complex)), BlockAlgebra.commutative(256)
+    )
+    for phi in (state, embedded):
+        assert phi.algebra is reference.algebra and "density" not in vars(phi)
+        assert np.array_equal(phi._diagonal, reference._diagonal)
+        assert not phi._diagonal.flags.writeable
+    assert part.size == 2 and state.weight == reference.weight
+
+
+def test_commutative_states_fail_closed_as_from_density_does():
+    for bad in ([0.5, math.nan], [0.5, math.inf]):
+        with pytest.raises(ValidationFailure, match="non-finite"):
+            StateFunctional.commutative(bad)
+    shift = SymbolicShift(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    measure = shift.word_space(2).measure.copy()
+    measure[1] = math.nan
+    space = FiniteSpace(measure)  # its own checks compare against NaN and pass it
+    with pytest.raises(ValidationFailure, match="non-finite"):
+        embed_diagonal(space, shift.coordinate_indicator(2, [1]))
+    for shape in (np.eye(2) / 2, np.array(1.0)):
+        with pytest.raises(DimensionMismatch):
+            StateFunctional.commutative(shape)
+    for negative in ([1.0 + 1e-9, -1e-9], [0.5, 0.5, -1e-6]):
+        with pytest.raises(NotPositiveSemidefinite):
+            StateFunctional.commutative(negative)
+    # within the clamp tolerance the diagonal is kept as given, as from_density keeps it
+    for values in ([1.0 + 1e-11, -1e-11], [0.25, 0.75]):
+        dense = np.diag(values).astype(complex)
+        want = StateFunctional.from_density(dense, BlockAlgebra.commutative(len(values)))
+        assert np.array_equal(StateFunctional.commutative(values)._diagonal, want._diagonal)
+    # one point is a full algebra: the dense path, as from_density takes it
+    single = StateFunctional.commutative([1.0])
+    assert single._diagonal is None and np.array_equal(single.density, np.eye(1))
 
 
 def _zero_weight_partition(d):

@@ -551,6 +551,22 @@ def test_diagonal_held_maps_equal_their_dense_twins_bitwise(rng, d):
         _assert_same_dense_forms(got, want)
 
 
+@pytest.mark.parametrize("first", ["kraus", "_stack", "unit_image"])
+def test_the_dense_forms_of_a_held_map_are_built_once(rng, monkeypatch, first):
+    # lazy descriptors, not a __getattr__ hook that every attribute read would pay
+    assert not hasattr(KrausMap, "__getattr__")
+    held, dense = _held_partition(rng, 4, (2, 1, 3))
+    built, dense_of = [], partitions._dense
+    monkeypatch.setattr(partitions, "_dense", lambda rows: built.append(rows) or dense_of(rows))
+    for h, r in zip(held.maps, dense.maps):
+        getattr(h, first)
+        reads = [(h.kraus, h._stack, h.unit_image) for _ in range(3)]
+        assert all(x is y for read in reads for x, y in zip(read, reads[0]))
+        assert all(k.base is h._stack for k in h.kraus)
+        _assert_same_dense_forms(h, r)
+    assert len(built) == held.size
+
+
 def test_compose_of_diagonal_held_maps_equals_the_per_pair_reference(rng):
     """diag x diag within d^2 products (held), past it (Choi-compressed) and diag x dense."""
     uncompressed = _held_partition(rng, 3, (1, 2, 3)), _held_partition(rng, 3, (3, 1, 2))
