@@ -22,6 +22,7 @@ import numpy as np
 from . import defaults
 from .dynamics import EntropySequence, _sequence_from
 from .errors import DimensionMismatch, ResourceCapExceeded, ValidationFailure
+from .linalg import assert_finite
 from .partitions import KrausMap, Partition, _Diagonals
 from .states import StateFunctional
 
@@ -36,6 +37,7 @@ class FiniteSpace:
         mu = np.asarray(self.measure, dtype=float)
         if mu.ndim != 1 or mu.size < 1:
             raise ValidationFailure("measure must be a nonempty vector")
+        assert_finite(mu, "measure")  # a NaN would pass the checks below
         if np.any(mu < -1e-15):
             raise ValidationFailure("measure has negative entries")
         if abs(mu.sum() - 1.0) > defaults.MEASURE_SUM_TOL:
@@ -267,6 +269,7 @@ class SymbolicShift:
         p = np.asarray(self.transition, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValidationFailure("transition matrix must be square")
+        assert_finite(p, "transition matrix")
         if np.any(p < -1e-15):
             raise ValidationFailure("transition matrix has negative entries")
         rows = np.abs(p.sum(axis=1) - 1.0).max()
@@ -279,6 +282,11 @@ class SymbolicShift:
         if pi is None:
             pi = stationary_distribution(p)
         pi = np.asarray(pi, dtype=float)
+        if pi.shape != (p.shape[0],):
+            raise DimensionMismatch(
+                f"stationary vector of shape {pi.shape} for {p.shape[0]} symbols"
+            )
+        assert_finite(pi, "stationary vector")
         if np.max(np.abs(pi @ p - pi)) > defaults.STOCHASTICITY_TOL:
             raise ValidationFailure("vector is not stationary for the transition matrix")
         pi = np.clip(pi, 0.0, None)

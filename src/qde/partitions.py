@@ -278,21 +278,39 @@ def _diagonal_predual(weights: np.ndarray, omega: StateFunctional) -> StateFunct
     # a real diagonal is exactly hermitian, so it is not symmetrized
     out = (weights * omega._entries().real).astype(complex)
     out.setflags(write=False)
-    return StateFunctional(omega.algebra, diagonal=out)
+    return StateFunctional(omega.algebra, out)
+
+
+def _images(maps, omega: StateFunctional) -> list[StateFunctional]:
+    """The predual image of omega under each map, in order.
+
+    On an all-1-block algebra an exactly diagonal map keeps omega on that
+    algebra as a held diagonal; every other image is a dense density on the
+    full algebra, batched by Kraus count: one product and one symmetrization
+    per batch.
+    """
+    dim_in, dim_out = maps[0].dim_in, maps[0].dim_out
+    out, keys = [None] * len(maps), []
+    for t, m in enumerate(maps):
+        on_diagonal = omega.algebra.is_commutative and m._diagonal_weights is not None
+        if on_diagonal:
+            out[t] = _diagonal_predual(m._diagonal_weights, omega)
+        keys.append(None if on_diagonal else (m._shape[0],))
+    full = BlockAlgebra.full(dim_out)
+    for batch in _batches(keys, dim_in * dim_out):
+        dens = _predual_products(np.array([maps[t]._stack for t in batch]), omega.density)
+        dens = 0.5 * (dens + dens.conj().swapaxes(1, 2))
+        dens.setflags(write=False)
+        for t, density in zip(batch, dens):
+            out[t] = StateFunctional(full, density)
+    return out
 
 
 def predual_apply(zeta_i: KrausMap, omega: StateFunctional) -> StateFunctional:
-    """The functional omega composed with the map, as an unnormalized density.
-
-    On an all-1-block algebra an exactly diagonal map keeps omega on that
-    algebra; every other image is on the full algebra.
-    """
+    """The functional omega composed with the map, as an unnormalized density."""
     if omega.dim != zeta_i.dim_in:
         raise DimensionMismatch(f"state dimension {omega.dim} vs map input {zeta_i.dim_in}")
-    if omega.algebra.is_commutative and zeta_i._diagonal_weights is not None:
-        return _diagonal_predual(zeta_i._diagonal_weights, omega)
-    density = zeta_i.predual(omega.density)
-    return StateFunctional._trusted(density, BlockAlgebra.full(zeta_i.dim_out))
+    return _images((zeta_i,), omega)[0]
 
 
 def _choi(stacks: np.ndarray) -> np.ndarray:
@@ -414,24 +432,10 @@ class Partition:
         return StateFunctional._trusted(out, BlockAlgebra.full(self.dim_out))
 
     def branch_preduals(self, omega: StateFunctional) -> list[StateFunctional]:
-        """predual_apply of every outcome, in outcome order; the maps off its
-        diagonal path take one product and one symmetrization per batch."""
+        """predual_apply of every outcome, in outcome order."""
         if omega.dim != self.dim_in:
             raise DimensionMismatch(f"state dimension {omega.dim} vs partition input {self.dim_in}")
-        out, keys = [None] * self.size, []
-        for t, m in enumerate(self.maps):
-            on_diagonal = omega.algebra.is_commutative and m._diagonal_weights is not None
-            if on_diagonal:
-                out[t] = _diagonal_predual(m._diagonal_weights, omega)
-            keys.append(None if on_diagonal else (m._shape[0],))
-        full = BlockAlgebra.full(self.dim_out)
-        for batch in _batches(keys, self.dim_in * self.dim_out):
-            dens = _predual_products(np.array([self.maps[t]._stack for t in batch]), omega.density)
-            dens = 0.5 * (dens + dens.conj().swapaxes(1, 2))
-            dens.setflags(write=False)
-            for t, density in zip(batch, dens):
-                out[t] = StateFunctional(full, density)
-        return out
+        return _images(self.maps, omega)
 
 
 def _batches(keys, element_entries: int):
@@ -554,20 +558,28 @@ def conjugate(theta: Automorphism, zeta: Partition) -> Partition:
     return Partition(maps)
 
 
-def vn_partition(projectors) -> Partition:
-    """Projective partition: each outcome acts as x -> P x P."""
+def _projector_family(projectors) -> list[np.ndarray]:
+    """The symmetrized members of a nonempty family of orthogonal projectors
+    (hermitian and idempotent within PROJECTOR_TOL) that sums to the identity."""
     projs = [as_hermitian(p, tol=defaults.PROJECTOR_TOL) for p in projectors]
     if not projs:
         raise ValidationFailure("empty projector family")
-    dim = projs[0].shape[0]
+    if any(p.shape != projs[0].shape for p in projs):
+        raise DimensionMismatch("projectors of mixed dimensions")
     for p in projs:
         if frobenius(p @ p - p) > defaults.PROJECTOR_TOL:
             raise ValidationFailure("input is not an orthogonal projector")
+    if frobenius(sum(projs) - np.eye(projs[0].shape[0])) > defaults.PROJECTOR_TOL:
+        raise ValidationFailure("projectors do not sum to the identity")
+    return projs
+
+
+def vn_partition(projectors) -> Partition:
+    """Projective partition: each outcome acts as x -> P x P."""
+    projs = _projector_family(projectors)
     for a, b in itertools.combinations(projs, 2):
         if frobenius(a @ b) > defaults.PROJECTOR_TOL:
             raise ValidationFailure("projectors are not mutually orthogonal")
-    if frobenius(sum(projs) - np.eye(dim)) > defaults.PROJECTOR_TOL:
-        raise ValidationFailure("projectors do not sum to the identity")
     return Partition(tuple(KrausMap((p,), label=i) for i, p in enumerate(projs)))
 
 
@@ -582,18 +594,14 @@ def pinching_invariant_partition(projectors, phi: StateFunctional) -> Partition:
     unit sum.
     """
     rho = phi.density
-    projs = [as_hermitian(p, tol=defaults.PROJECTOR_TOL) for p in projectors]
+    projs = _projector_family(projectors)
     dim = projs[0].shape[0]
     for p in projs:
-        if frobenius(p @ p - p) > defaults.PROJECTOR_TOL:
-            raise ValidationFailure("input is not an orthogonal projector")
         if frobenius(rho @ p - p @ rho) > defaults.INVARIANCE_TOL:
             raise ValidationFailure(
                 "projector does not commute with the state; "
                 "only the pinching conditional expectation is supported"
             )
-    if frobenius(sum(projs) - np.eye(dim)) > defaults.PROJECTOR_TOL:
-        raise ValidationFailure("projectors do not sum to the identity")
 
     maps = []
     for label, p in enumerate(projs):

@@ -40,21 +40,23 @@ from .linalg import (
 class StateFunctional:
     """Positive functional held as a (possibly sub-normalized) density matrix.
 
-    A functional on an all-1-block algebra that `from_density` or qde's own
-    operations build holds only its read-only complex diagonal; its dense
-    `density` is built once, on first read.
+    It stores one read-only array: its `(d, d)` density or, on an all-1-block
+    algebra, its `(d,)` complex diagonal in place of the density, which is
+    then built once, on first read.
     """
 
     algebra: BlockAlgebra
 
-    def __init__(self, algebra: BlockAlgebra, density=None, *, diagonal=None):
-        own = vars(self)
+    def __init__(self, algebra: BlockAlgebra, data: np.ndarray):
+        own = vars(self)  # item stores: a keyword update() costs twice as much per build
         own["algebra"] = algebra
-        own["_diagonal"] = diagonal  # the held diagonal, or None
-        if diagonal is None:
-            own.update(density=density, dim=density.shape[0])
+        own["dim"] = data.shape[0]
+        own["_data"] = data
+        if data.ndim == 1:
+            own["_diagonal"] = data
         else:
-            own["dim"] = diagonal.shape[0]
+            own["_diagonal"] = None
+            own["density"] = data
 
     # a dense functional stores its density, which shadows this descriptor;
     # a __getattr__ would slow every attribute read instead
@@ -67,16 +69,12 @@ class StateFunctional:
 
     def _entries(self) -> np.ndarray:
         """The complex diagonal of the density, held or read from the dense form."""
-        diagonal = self._diagonal
-        return self.density.diagonal() if diagonal is None else diagonal
+        data = self._data
+        return data if data.ndim == 1 else data.diagonal()
 
     @classmethod
     def from_density(
-        cls,
-        density: np.ndarray,
-        algebra: BlockAlgebra | None = None,
-        *,
-        check_positive: bool = True,
+        cls, density: np.ndarray, algebra: BlockAlgebra | None = None
     ) -> "StateFunctional":
         density = as_hermitian(density)
         if algebra is None:
@@ -90,17 +88,14 @@ class StateFunctional:
             raise ValidationFailure(f"density has off-block mass {off:.3e}")
         if algebra.is_commutative:
             # on an all-1-block algebra the projected density is its diagonal
-            diagonal = density.diagonal().copy()
-            if check_positive:
-                clamp_psd_spectrum(diagonal.real)
-            diagonal.setflags(write=False)
-            return cls(algebra, diagonal=diagonal)
-        density = algebra.project(density)
-        if check_positive:
-            clamp_psd_spectrum(np.linalg.eigvalsh(density))
-        density = density.copy()
-        density.setflags(write=False)
-        return cls(algebra, density)
+            data = density.diagonal().copy()
+            clamp_psd_spectrum(data.real)
+        else:
+            data = algebra.project(density)
+            clamp_psd_spectrum(np.linalg.eigvalsh(data))
+            data = data.copy()
+        data.setflags(write=False)
+        return cls(algebra, data)
 
     @classmethod
     def commutative(cls, weights) -> "StateFunctional":
@@ -117,14 +112,15 @@ class StateFunctional:
         clamp_psd_spectrum(weights)
         diagonal = weights.astype(complex)
         diagonal.setflags(write=False)
-        return cls(algebra, diagonal=diagonal)
+        return cls(algebra, diagonal)
 
     @classmethod
-    def _trusted(cls, density: np.ndarray, algebra: BlockAlgebra) -> "StateFunctional":
-        # Fast path for densities that are PSD by construction (predual images).
-        density = 0.5 * (density + dagger(density))
-        density.setflags(write=False)
-        return cls(algebra, density)
+    def _trusted(cls, data: np.ndarray, algebra: BlockAlgebra) -> "StateFunctional":
+        # Fast path for densities, or diagonals on an all-1-block algebra, that
+        # are PSD by construction (predual images); a vector's dagger is its conjugate.
+        data = 0.5 * (data + dagger(data))
+        data.setflags(write=False)
+        return cls(algebra, data)
 
     @classmethod
     def diagonal(cls, probs) -> "StateFunctional":
@@ -142,8 +138,7 @@ class StateFunctional:
 
     @lazy_attribute
     def weight(self) -> float:
-        diagonal = self._diagonal
-        return float(self.density.trace().real if diagonal is None else diagonal.sum().real)
+        return float(self._entries().sum().real)
 
     def require_normalized(self, what: str = "state") -> None:
         if not abs(self.weight - 1.0) <= 1e-8:  # a NaN weight fails too
@@ -157,13 +152,9 @@ class StateFunctional:
         """
         if not 0.0 <= factor < math.inf:  # a NaN factor fails too
             raise ValidationFailure(f"scaling factor {factor} outside [0, inf)")
-        if self._diagonal is not None:
-            diagonal = factor * self._diagonal
-            diagonal.setflags(write=False)
-            return StateFunctional(self.algebra, diagonal=diagonal)
-        density = factor * self.density
-        density.setflags(write=False)
-        return StateFunctional(self.algebra, density)
+        data = factor * self._data
+        data.setflags(write=False)
+        return StateFunctional(self.algebra, data)
 
     def evaluate(self, observable: np.ndarray) -> float:
         """phi(x) = tr(rho x) for hermitian x."""
@@ -175,39 +166,27 @@ class StateFunctional:
         return float(np.real(np.trace(self.density @ x)))
 
 
-def _common_algebra(parts) -> BlockAlgebra:
-    """The algebra every operand shares, or the full algebra when they differ."""
-    algebra = parts[0].algebra
-    if all(part.algebra.blocks == algebra.blocks for part in parts[1:]):
-        return algebra
-    return BlockAlgebra.full(parts[0].dim)
-
-
-def _held(parts, algebra: BlockAlgebra) -> bool:
-    """Whether every operand holds its diagonal on the shared commutative algebra."""
-    return algebra.is_commutative and all(part._diagonal is not None for part in parts)
-
-
-def _trusted_diagonal(diagonal: np.ndarray, algebra: BlockAlgebra) -> StateFunctional:
-    """`StateFunctional._trusted` of diag(diagonal), held as its diagonal."""
-    diagonal = 0.5 * (diagonal + diagonal.conj())
-    diagonal.setflags(write=False)
-    return StateFunctional(algebra, diagonal=diagonal)
-
-
 def total_functional(parts) -> StateFunctional:
-    """The sum of a nonempty family of functionals, built as one functional."""
+    """The sum of a nonempty family of functionals, built as one functional.
+
+    The sum is on the operands' common algebra, or on the full algebra when
+    their algebras differ.  Held diagonals of one dimension share the
+    all-1-block algebra, so their sum is a held diagonal; any dense operand
+    makes the sum dense.
+    """
     parts = list(parts)
     if not parts:
         raise ValidationFailure("empty decomposition")
     if any(part.dim != parts[0].dim for part in parts):
         raise DimensionMismatch("adding functionals of different dimension")
-    algebra = _common_algebra(parts)
-    if _held(parts, algebra):
-        diagonals = [part._diagonal for part in parts]
-        return _trusted_diagonal(sum(diagonals[1:], diagonals[0]), algebra)
-    densities = [part.density for part in parts]
-    return StateFunctional._trusted(sum(densities[1:], densities[0]), algebra)
+    algebra = parts[0].algebra
+    if any(part.algebra.blocks != algebra.blocks for part in parts[1:]):
+        algebra = BlockAlgebra.full(parts[0].dim)
+    if all(part._diagonal is not None for part in parts):
+        arrays = [part._diagonal for part in parts]
+    else:
+        arrays = [part.density for part in parts]
+    return StateFunctional._trusted(sum(arrays[1:], arrays[0]), algebra)
 
 
 def mix(a: StateFunctional, b: StateFunctional, lam: float) -> StateFunctional:
@@ -216,10 +195,7 @@ def mix(a: StateFunctional, b: StateFunctional, lam: float) -> StateFunctional:
         raise ValidationFailure(f"mixing weight {lam} outside [0, 1]")
     if a.dim != b.dim:
         raise DimensionMismatch("mixing functionals of different dimension")
-    algebra = _common_algebra((a, b))
-    if _held((a, b), algebra):
-        return _trusted_diagonal((1.0 - lam) * a._diagonal + lam * b._diagonal, algebra)
-    return StateFunctional._trusted((1.0 - lam) * a.density + lam * b.density, algebra)
+    return total_functional((a.scale(1.0 - lam), b.scale(lam)))
 
 
 def product_state(a: StateFunctional, b: StateFunctional) -> StateFunctional:

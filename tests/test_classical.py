@@ -19,7 +19,7 @@ from qde.classical import (
     transport_partition,
 )
 from qde.dynamics import conditional_information, information, invariance_check
-from qde.errors import ResourceCapExceeded, ValidationFailure
+from qde.errors import DimensionMismatch, ResourceCapExceeded, ValidationFailure
 from qde.properties import random_function_partition
 
 from oracles import shannon
@@ -313,6 +313,25 @@ def test_non_finite_function_values_fail_closed():
     vars(zeta).update(values=np.array([[math.nan, 1.0], [0.0, 0.0]]), labels=(0, 1))
     with pytest.raises(ValidationFailure, match="non-finite"):
         embed_diagonal(FiniteSpace.uniform(2), zeta)
+
+
+def test_nan_measure_fails_closed():
+    # a NaN entry passes the negativity and sum checks, which compare against it
+    with pytest.raises(ValidationFailure, match="^measure contains non-finite entries$"):
+        FiniteSpace(np.array([0.5, math.nan, 0.5]))
+
+
+def test_nan_transition_fails_closed():
+    # before the stationary vector is solved for, where numpy's eig would fail
+    with pytest.raises(ValidationFailure, match="^transition matrix contains non-finite entries$"):
+        SymbolicShift(np.array([[0.5, math.nan], [0.2, 0.8]]))
+
+
+def test_nan_stationary_vector_fails_closed():
+    with pytest.raises(ValidationFailure, match="^stationary vector contains non-finite entries$"):
+        SymbolicShift(np.array([[0.7, 0.3], [0.2, 0.8]]), stationary=[0.5, math.nan])
+    with pytest.raises(DimensionMismatch, match="for 2 symbols"):  # not numpy's matmul error
+        SymbolicShift(np.array([[0.7, 0.3], [0.2, 0.8]]), stationary=[0.5, 0.25, 0.25])
 
 
 def test_sequences_reject_depth_below_one():

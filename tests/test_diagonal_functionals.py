@@ -114,6 +114,40 @@ def test_scale_sum_and_mix_equal_the_dense_twins(rng):
                 assert np.array_equal(got.density, want.density)
 
 
+def _one_expression_mix(a, b, lam):
+    """(1-lam)*a + lam*b in one expression, symmetrized once: held diagonals when
+    both operands hold them, else the dense densities."""
+    if a._diagonal is not None and b._diagonal is not None:
+        x = (1.0 - lam) * a._diagonal + lam * b._diagonal
+    else:
+        x = (1.0 - lam) * a.density + lam * b.density
+    return 0.5 * (x + x.conj().T)
+
+
+def test_mix_equals_the_one_expression_formula(rng):
+    for t in range(30):
+        d = 2 + t % 4
+        held = [_held(_entries(rng, d, weight=0.37 if t % 2 else 1.0)) for _ in range(2)]
+        dense = [_twin(phi) for phi in held]
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        full = StateFunctional.from_density(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        pairs = [
+            (held[0], held[1]),  # held operands: a held sum on their algebra
+            (dense[0], dense[1]),  # dense operands on the same commutative algebra
+            (held[0], dense[1]),
+            (held[0], full),  # mixed algebras: the full algebra
+            (full, held[1]),
+        ]
+        for a, b in pairs:
+            for lam in (0.0, 1.0, 0.25, float(rng.random())):
+                got = mix(a, b, lam)
+                assert np.array_equal(got._data, _one_expression_mix(a, b, lam))
+                assert (got._diagonal is not None) == (a is held[0] and b is held[1])
+                same = a.algebra.blocks == b.algebra.blocks
+                assert got.algebra.blocks == (a.algebra.blocks if same else (d,))
+                assert not got._data.flags.writeable
+
+
 def test_divergence_reports_equal_the_dense_twins(rng):
     decisions = set()
     full = StateFunctional.from_density(0.5 * PLUS + np.diag([0.25, 0.25]).astype(complex))
@@ -195,7 +229,11 @@ def test_commutative_states_fail_closed_as_from_density_does():
     shift = SymbolicShift(np.array([[0.5, 0.5], [0.5, 0.5]]))
     measure = shift.word_space(2).measure.copy()
     measure[1] = math.nan
-    space = FiniteSpace(measure)  # its own checks compare against NaN and pass it
+    with pytest.raises(ValidationFailure, match="non-finite"):
+        FiniteSpace(measure)
+    # a measure that skipped the constructor still fails in the embedding's state
+    space = object.__new__(FiniteSpace)
+    vars(space)["measure"] = measure
     with pytest.raises(ValidationFailure, match="non-finite"):
         embed_diagonal(space, shift.coordinate_indicator(2, [1]))
     for shape in (np.eye(2) / 2, np.array(1.0)):

@@ -96,6 +96,40 @@ def test_run_dynent_task():
     assert [row[0] for row in record.series] == [1, 2, 3]
 
 
+def sweep_spec(names):
+    """A dynent spec with a trivial and an unsharp 2-outcome partition, sweeping `names`."""
+    unsharp = np.diag([math.sqrt(0.8), math.sqrt(0.2)]), np.diag([math.sqrt(0.2), math.sqrt(0.8)])
+    return {
+        "schema_version": "1",
+        "task": "dynent",
+        "state": cm(np.eye(2) / 2),
+        "partitions": {
+            "trivial": [[cm(np.eye(2))]],
+            "unsharp": [[cm(k)] for k in unsharp],
+        },
+        "params": {"N": 3, "partitions": names},
+    }
+
+
+def test_dynent_candidate_sweep_reports_the_best_candidate():
+    record = run_task(parse_spec(json.dumps(sweep_spec(["trivial", "unsharp"]))))
+    results = record.results
+    assert results["best_candidate"] == "unsharp"
+    assert set(results["candidate_h"]) == {"trivial", "unsharp"}
+    assert results["candidate_h"]["trivial"] == 0.0
+    assert results["candidate_h"]["unsharp"] > 0.05
+    assert results["h_estimate"] == results["candidate_h"]["unsharp"]
+    assert results["supremum_status"] == "lower bound over the supplied candidates"
+
+
+@pytest.mark.parametrize("names", [["trivial", "nowhere"], "unsharp"])
+def test_cli_rejects_a_bad_candidate_list_at_its_path(tmp_path, capsys, names):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(sweep_spec(names)))
+    assert main(["run", str(spec_path)]) == 2
+    assert "params.partitions" in capsys.readouterr().err
+
+
 def test_run_classical_markov_task():
     raw = {
         "schema_version": "1",

@@ -479,10 +479,18 @@ def test_branch_preduals_match_the_oracle(rng, monkeypatch, budget):
                 for m, branch in zip(part.maps, branches):
                     want = oracle_predual(m.kraus, omega.density)
                     assert np.abs(branch.density - want).max() <= 1e-14
+                    # predual_apply is the one-map case of the same kernel
                     single = predual_apply(m, omega)
-                    assert np.array_equal(branch.density, single.density)
+                    assert single._data.tobytes() == branch._data.tobytes()
+                    assert (single._diagonal is None) == (branch._diagonal is None)
                     assert branch.algebra.blocks == single.algebra.blocks
                     assert not branch.density.flags.writeable
+                    if single._diagonal is None:  # the map's own predual, symmetrized once
+                        own = StateFunctional._trusted(m.predual(omega.density), single.algebra)
+                        assert single.density.tobytes() == own.density.tobytes()
+            wrong = f"^state dimension {d + 1} vs map input {d}$"
+            with pytest.raises(DimensionMismatch, match=wrong):
+                predual_apply(part.maps[0], StateFunctional.maximally_mixed(d + 1))
 
 
 # --- maps held by their diagonals -----------------------------------------------------

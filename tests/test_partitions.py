@@ -260,6 +260,19 @@ def test_pinching_rejects_noncommuting():
         pinching_invariant_partition([P0, P1], StateFunctional.from_density(PLUS))
 
 
+def test_pinching_rejects_an_empty_family():
+    with pytest.raises(ValidationFailure, match="^empty projector family$"):
+        pinching_invariant_partition([], StateFunctional.maximally_mixed(2))
+
+
+def test_projector_families_of_mixed_dimensions_fail_closed():
+    # not numpy's broadcasting error from the unit-sum check
+    phi = StateFunctional.maximally_mixed(2)
+    for build in (vn_partition, lambda projectors: pinching_invariant_partition(projectors, phi)):
+        with pytest.raises(DimensionMismatch, match="^projectors of mixed dimensions$"):
+            build([np.eye(2), np.zeros((3, 3))])
+
+
 def test_pinching_zero_weight_block_keeps_unity():
     phi = StateFunctional.diagonal([1.0, 0.0])
     part = pinching_invariant_partition([P0, P1], phi)

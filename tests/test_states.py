@@ -180,7 +180,7 @@ def test_decomposition_gap_random_nonneg(rng):
             raws.append(h @ h.conj().T)
         whiten = power_on_support(sum(raws), -0.5)
         parts = [
-            StateFunctional.from_density(sqrt_rho @ whiten @ a @ whiten @ sqrt_rho, check_positive=False)
+            StateFunctional._trusted(sqrt_rho @ whiten @ a @ whiten @ sqrt_rho, phi.algebra)
             for a in raws
         ]
         assert decomposition_entropy_gap(parts, phi) >= -1e-8
