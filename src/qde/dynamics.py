@@ -200,6 +200,13 @@ def _sequence_from(values, information_bound) -> EntropySequence:
     )
 
 
+def _check_automorphism(theta: Automorphism, zeta: Partition) -> None:
+    if theta.dim != zeta.dim_in:
+        raise DimensionMismatch(
+            f"automorphism dimension {theta.dim} vs partition input {zeta.dim_in}"
+        )
+
+
 def an_sequence(
     phi: StateFunctional,
     theta: Automorphism,
@@ -215,6 +222,7 @@ def an_sequence(
     """
     if zeta.dim_in != zeta.dim_out:
         raise DimensionMismatch("dynamics needs measurements on a single algebra")
+    _check_automorphism(theta, zeta)
     if depth < 1:
         raise ValidationFailure("depth must be at least 1")
     if _exceeds_branch_cap(zeta.size, depth + 1):
@@ -284,6 +292,7 @@ def convexity_probe(
     """
     from .states import mix
 
+    _check_automorphism(theta, zeta)
     for which, phi in (("first", phi0), ("second", phi1)):
         gap = frobenius(theta.predual(phi.density) - phi.density)
         if gap > defaults.INVARIANCE_TOL:

@@ -431,9 +431,9 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
         raise _fail("params.branch_cap", "the cap is fixed at qde.defaults.BRANCH_CAP")
     names = spec.params.get("partitions")
     if names is not None and not (
-        isinstance(names, list) and all(isinstance(n, str) for n in names)
+        isinstance(names, list) and names and all(isinstance(n, str) for n in names)
     ):
-        raise _fail("params.partitions", "expected a list of partition names")
+        raise _fail("params.partitions", "expected a nonempty list of partition names")
     if names is None:
         candidates = {None: _pick_partition(spec)}
     else:
@@ -447,6 +447,8 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
     best_name, best_seq = None, None
     for name, zeta in candidates.items():
         theta = spec.unitary or Automorphism.identity(zeta.dim_in)
+        if theta.dim != zeta.dim_in:
+            raise _fail("unitary", f"dimension {theta.dim} vs partition input {zeta.dim_in}")
         seq = an_sequence(spec.state, theta, zeta, depth)
         per_candidate[name] = seq
         if best_seq is None or seq.h_estimate > best_seq.h_estimate:
@@ -526,8 +528,8 @@ def _task_classical(spec: SystemSpec, seed: int) -> dict:
 
 def _task_verify(spec: SystemSpec, seed: int) -> dict:
     dims = spec.params.get("dims", [2, 3, 4])
-    if not isinstance(dims, (list, tuple)):
-        raise _fail("params.dims", "expected a list of dimensions")
+    if not isinstance(dims, (list, tuple)) or not dims:
+        raise _fail("params.dims", "expected a nonempty list of dimensions")
     dims = tuple(_factor_dimension(d, f"params.dims[{i}]") for i, d in enumerate(dims))
     trials = _int_param(spec.params, "trials", 200)
     outcome = run_property_suite(dims=dims, trials=trials, seed=seed)

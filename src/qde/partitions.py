@@ -224,18 +224,14 @@ def _unit_images(stacks, weights) -> list[np.ndarray]:
     """
     if not all(np.isfinite(stack).all() for stack in stacks):
         raise ValidationFailure("Kraus element with non-finite entries")
-    if len(stacks) == 1:  # one map, as in every KrausMap(...) build: no batching
-        stack, w = stacks[0], weights[0]
-        units = [np.diag(w) if w is not None else _gram(stack.reshape(-1, stack.shape[2]))]
-    else:
-        units = [None if w is None else np.diag(w) for w in weights]
-        by_count: dict[int, list[int]] = {}
-        for t in (t for t, unit in enumerate(units) if unit is None):
-            by_count.setdefault(len(stacks[t]), []).append(t)
-        for batch in by_count.values():
-            rows = np.array([stacks[t] for t in batch]).reshape(len(batch), -1, stacks[0].shape[2])
-            for t, unit in zip(batch, _gram(rows)):
-                units[t] = unit
+    units = [None if w is None else np.diag(w) for w in weights]
+    by_count: dict[int, list[int]] = {}
+    for t in (t for t, unit in enumerate(units) if unit is None):
+        by_count.setdefault(len(stacks[t]), []).append(t)
+    for batch in by_count.values():
+        rows = np.array([stacks[t] for t in batch]).reshape(len(batch), -1, stacks[0].shape[2])
+        for t, unit in zip(batch, _gram(rows)):
+            units[t] = unit
     spectra = np.linalg.eigvalsh(units[0] if len(units) == 1 else np.array(units))
     top = float(spectra[-1] if spectra.ndim == 1 else spectra[:, -1].max())  # ascending
     if top > 1.0 + defaults.SUB_UNITALITY_TOL:
@@ -259,17 +255,6 @@ def _product_diagonals(first: KrausMap, second: KrausMap) -> np.ndarray:
     """(count, d) diagonals of {L @ K}, K-major, for two exactly diagonal factors."""
     k, l = first._diagonals, second._diagonals
     return (k[:, None, :] * l[None, :, :]).reshape(-1, first.dim_in)
-
-
-def _product_kraus(first: KrausMap, second: KrausMap) -> np.ndarray:
-    """Kraus stack {L @ K} of first-then-second, K-major.
-
-    Exactly diagonal factors multiply their diagonals elementwise.
-    """
-    if first._diagonals is not None and second._diagonals is not None:
-        return _dense(_product_diagonals(first, second))
-    prod = second._stack[None, :, :, :] @ first._stack[:, None, :, :]
-    return prod.reshape(-1, second.dim_out, first.dim_in)
 
 
 def _diagonal_predual(weights: np.ndarray, omega: StateFunctional) -> StateFunctional:
@@ -458,7 +443,7 @@ def compose(zeta: Partition, eta: Partition) -> Partition:
     zeta_i then eta_j to states.  Each composite map is built once: one by
     one, from the product of their diagonals, for two exactly diagonal maps
     that need no compression, else in batches of equal Kraus counts (one
-    product, Choi eigh and eigvalsh each).
+    broadcast product, Choi eigh and eigvalsh each).
     """
     if eta.dim_in != zeta.dim_out:
         raise DimensionMismatch(
@@ -473,14 +458,12 @@ def compose(zeta: Partition, eta: Partition) -> Partition:
         if diagonal and key[0] <= d_in * d_out:
             # one build and eigvalsh per pair, as qdebench/selfcheck.py counts them
             maps[t] = KrausMap(_Diagonals(_product_diagonals(mi, mj)), (mi.label, mj.label))
-        keys.append(None if t in maps else (*key, diagonal))
+        keys.append(None if t in maps else key)
     for batch in _batches(keys, d_in * d_out):
         firsts, seconds = [pairs[t][0] for t in batch], [pairs[t][1] for t in batch]
-        if keys[batch[0]][-1]:  # exactly diagonal pairs that need compression
-            prods = np.array([_product_kraus(mi, mj) for mi, mj in zip(firsts, seconds)])
-        else:  # one broadcast product {L @ K}, K-major, for the whole batch
-            k, l = np.array([m._stack for m in firsts]), np.array([m._stack for m in seconds])
-            prods = (l[:, None] @ k[:, :, None]).reshape(len(batch), -1, d_out, d_in)
+        # one broadcast product {L @ K}, K-major, for the whole batch
+        k, l = np.array([m._stack for m in firsts]), np.array([m._stack for m in seconds])
+        prods = (l[:, None] @ k[:, :, None]).reshape(len(batch), -1, d_out, d_in)
         names = [(mi.label, mj.label) for mi, mj in zip(firsts, seconds)]
         if prods.shape[1] > d_in * d_out:
             built = kraus_from_choi(_choi(prods), d_in, d_out, names)
@@ -516,6 +499,8 @@ class Automorphism:
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise DimensionMismatch(f"a unitary must be a square matrix, got shape {u.shape}")
         dev = frobenius(dagger(u) @ u - np.eye(u.shape[0]))
         if dev > defaults.UNITARITY_TOL * u.shape[0]:
             raise ValidationFailure(f"matrix is not unitary: residual {dev:.3e}")

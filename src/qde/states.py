@@ -208,10 +208,7 @@ def product_state(a: StateFunctional, b: StateFunctional) -> StateFunctional:
 def von_neumann_entropy(phi: StateFunctional) -> float:
     """S(phi) = -tr(rho ln rho) for a normalized state, in nats."""
     phi.require_normalized()
-    # a held diagonal is its own spectrum; sorted, it is what eigvalsh returns
-    diagonal = phi._diagonal
-    w = np.sort(diagonal.real) if diagonal is not None else np.linalg.eigvalsh(phi.density)
-    w = clamp_psd_spectrum(w)
+    w = clamp_psd_spectrum(np.linalg.eigvalsh(phi.density))
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
 

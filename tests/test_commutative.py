@@ -22,7 +22,14 @@ from qde.classical import (
 from qde.dynamics import conditional_information, information, information_via_direct_sum
 from qde.errors import NotPositiveSemidefinite, ValidationFailure
 from qde.linalg import BlockAlgebra
-from qde.partitions import KrausMap, Partition, _product_kraus, compose, predual_apply
+from qde.partitions import (
+    KrausMap,
+    Partition,
+    _dense as _dense_stack,
+    _product_diagonals,
+    compose,
+    predual_apply,
+)
 from qde.properties import random_function_partition, random_partition
 from qde.states import StateFunctional, mix, relative_entropy_report, total_functional
 
@@ -243,7 +250,8 @@ def test_diagonal_products_match_the_dense_matmul(rng):
         first = _diagonal_map(rng, int(rng.integers(1, 5)), d, complex_entries)
         second = _diagonal_map(rng, int(rng.integers(1, 5)), d, complex_entries)
         assert first._diagonal_weights is not None and second._diagonal_weights is not None
-        fast, dense = _product_kraus(first, second), _dense_product(first, second)
+        fast = _dense_stack(_product_diagonals(first, second))
+        dense = _dense_product(first, second)
         assert fast.shape == dense.shape
         if not complex_entries:
             # a real product has one rounding either way
@@ -274,10 +282,12 @@ def test_an_off_diagonal_entry_past_the_first_element_takes_the_dense_path():
     m = KrausMap((np.diag([0.5, 0.5, 0.5]), leaky))
     assert m._diagonal_weights is None
     assert m.unit_image.dtype == np.complex128
-    diagonal = KrausMap((np.diag([0.6, 0.8, 1.0]),))
-    for first, second in ((m, diagonal), (diagonal, m), (m, m)):
-        product = _product_kraus(first, second)
-        assert np.array_equal(product, _dense_product(first, second))
+    # the leaky map beside a diagonal one that completes its unit sum: every
+    # pair of the join, leaky or not, is the dense product of its factors
+    zeta = Partition((m, KrausMap((np.diag([0.5, 0.5, 0.5]), np.diag([0.5, 0.5, 0.5])))))
+    joint = compose(zeta, zeta)
+    for composite, (first, second) in zip(joint.maps, ((a, b) for a in zeta for b in zeta)):
+        assert np.array_equal(composite._stack, _dense_product(first, second))
     assert predual_apply(m, _diagonal([0.5, 0.3, 0.2])).algebra.blocks == (3,)
 
 

@@ -13,7 +13,7 @@ from qde.dynamics import (
     invariance_check,
     refinement,
 )
-from qde.errors import ResourceCapExceeded, ValidationFailure
+from qde.errors import DimensionMismatch, ResourceCapExceeded, ValidationFailure
 from qde.partitions import (
     Automorphism,
     Partition,
@@ -361,6 +361,16 @@ def test_convexity_probe_rejects_noninvariant():
     phi1 = StateFunctional.from_density(PLUS)
     with pytest.raises(ValidationFailure):
         convexity_probe(phi0, phi1, z_partition(), Automorphism(SX), depth=2)
+
+
+def test_an_automorphism_of_the_wrong_dimension_fails_closed():
+    phi = StateFunctional.maximally_mixed(2)
+    theta = Automorphism.identity(3)
+    with pytest.raises(DimensionMismatch, match="automorphism dimension 3"):
+        an_sequence(phi, theta, z_partition(), depth=2)
+    # before the invariance check, which would multiply a 3x3 by a 2x2 matrix
+    with pytest.raises(DimensionMismatch, match="automorphism dimension 3"):
+        convexity_probe(phi, phi, z_partition(), theta, depth=2)
 
 
 # --- product additivity -------------------------------------------------------

@@ -562,6 +562,31 @@ def test_cli_falsy_non_object_params_and_partitions_fail_closed(tmp_path, capsys
     assert f"{key}:" in captured.err
 
 
+def _unitary_spec(unitary):
+    raw = _dynent_params(N=2)
+    raw["unitary"] = cm(unitary)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        (_unitary_spec(np.ones((2, 3)) / 2), "unitary"),
+        (_unitary_spec(np.ones((3, 2)) / 2), "unitary"),
+        (_unitary_spec(np.eye(3)), "unitary"),  # square, but the partitions act on C^2
+        (sweep_spec([]), "params.partitions"),
+        ({"schema_version": "1", "task": "verify", "params": {"dims": []}}, "params.dims"),
+    ],
+    ids=["unitary-2x3", "unitary-3x2", "unitary-3x3-on-2x2", "empty-partitions", "empty-dims"],
+)
+def test_cli_bad_unitary_and_empty_lists_exit_2_at_their_path(tmp_path, capsys, raw, path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(raw))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}:")
+
+
 def test_cli_one_outcome_partition_gets_the_two_outcome_depth_limit(tmp_path):
     raw = _dynent_params(N=10**9)
     raw["partitions"] = {"trivial": [[cm(np.eye(2))]]}

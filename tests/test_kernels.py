@@ -314,12 +314,14 @@ def _reference_composite(first, second):
     """The composite of one pair built alone: Kraus stack and unit image.
 
     Products L @ K (diagonals multiplied elementwise when both factors are
-    exactly diagonal); past dim_in * dim_out of them, the Choi matrix, its
-    eigh, the clamp and the keep rule of the minimal family.
+    exactly diagonal and the pair needs no compression); past dim_in * dim_out
+    of them, the Choi matrix, its eigh, the clamp and the keep rule of the
+    minimal family.
     """
     d_in, d_out = first.dim_in, second.dim_out
     ks, ls = first._stack, second._stack
-    if first._diagonal_weights is not None and second._diagonal_weights is not None:
+    both_diagonal = first._diagonal_weights is not None and second._diagonal_weights is not None
+    if both_diagonal and len(ks) * len(ls) <= d_in * d_out:
         stack = np.array([np.diag(np.diag(k) * np.diag(l)) for k in ks for l in ls])
     else:
         stack = np.array([l @ k for k in ks for l in ls])

@@ -358,3 +358,9 @@ def test_automorphism_power_and_dims():
 def test_automorphism_rejects_nonunitary():
     with pytest.raises(ValidationFailure):
         Automorphism(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (1, 2, 2)])
+def test_automorphism_rejects_a_non_square_unitary(shape):
+    with pytest.raises(DimensionMismatch, match="square"):
+        Automorphism(np.ones(shape, dtype=complex) / 2)
