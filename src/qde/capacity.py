@@ -118,7 +118,11 @@ def dephasing_channel(p: float) -> Partition:
 
 def proportional_code_channel(weights, dim: int) -> Partition:
     """Proportional code of the identity channel; carries zero information."""
-    return Partition.proportional(weights, dim)
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0) or abs(w.sum() - 1.0) > defaults.UNIT_SUM_TOL:
+        raise ValidationFailure("proportional weights must be nonnegative and sum to 1")
+    eye = np.eye(dim, dtype=complex)
+    return Partition(tuple(KrausMap((np.sqrt(x) * eye,), label=i) for i, x in enumerate(w)))
 
 
 def state_power(phi: StateFunctional, n: int) -> StateFunctional:

@@ -149,23 +149,19 @@ def permutation_matrix(perm) -> np.ndarray:
 
 
 def _check_permutation(space: FiniteSpace, perm) -> np.ndarray:
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(space.size)):
+    # compared before the integer conversion, which overflows on a huge entry
+    if sorted(np.asarray(perm).tolist()) != list(range(space.size)):
         raise ValidationFailure("not a permutation of the points")
+    perm = np.asarray(perm, dtype=int)
     if np.max(np.abs(space.measure[perm] - space.measure)) > defaults.MEASURE_SUM_TOL:
         raise ValidationFailure("permutation does not preserve the measure")
     return perm
 
 
-def transport_partition(zeta: FunctionPartition, perm, steps: int = 1) -> FunctionPartition:
+def transport_partition(zeta: FunctionPartition, perm) -> FunctionPartition:
     """The partition moved forward by the permutation: functions precomposed with its inverse."""
-    perm = np.asarray(perm, dtype=int)
-    inv = np.argsort(perm)
-    table = zeta.values
-    mover = inv if steps >= 0 else perm
-    for _ in range(abs(steps)):
-        table = table[:, mover]
-    return FunctionPartition(table, zeta.labels)
+    inv = np.argsort(np.asarray(perm, dtype=int))
+    return FunctionPartition(zeta.values[:, inv], zeta.labels)
 
 
 def permutation_entropy_sequence(
@@ -237,8 +233,9 @@ def partition_comparison_bound(
     def joined(partition: FunctionPartition) -> float:
         cells = [np.ones(space.size)]
         for k in range(n):
-            moved = transport_partition(partition, perm, steps=k)
-            sq = moved.values**2
+            if k:  # the k-th factor is the partition moved k steps forward
+                partition = transport_partition(partition, perm)
+            sq = partition.values**2
             cells = [c * row for c in cells for row in sq]
             cells = [c for c in cells if float(space.measure @ c) > 1e-15]
         return _cells_entropy(space.measure, cells)

@@ -64,22 +64,9 @@ def _load_spec(path: str) -> SystemSpec:
     return parse_spec(text)
 
 
-def _emit(record, out_dir, stem) -> None:
-    print(record.human_table())
-    if out_dir:
-        for path in write_record(record, out_dir, stem):
-            print(f"wrote {path}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            spec = _load_spec(args.spec)
-            record = run_task(spec, seed=args.seed)
-            _emit(record, args.out, os.path.splitext(os.path.basename(args.spec))[0])
-            return 3 if record.has_violation else 0
-
         if args.command == "verify":
             raw = {
                 "schema_version": SCHEMA_VERSION,
@@ -91,24 +78,25 @@ def main(argv=None) -> int:
                 },
             }
             spec = parse_spec(json.dumps(raw))
-            record = run_task(spec, seed=args.seed)
-            _emit(record, args.out, "verify")
-            return 3 if record.has_violation else 0
-
-        if args.command == "capacity":
+            stem = "verify"
+        else:
             spec = _load_spec(args.spec)
+            stem = os.path.splitext(os.path.basename(args.spec))[0]
+        if args.command == "capacity":
             if spec.task != "capacity":
                 raise SpecFormatError(
                     "task", f"qde capacity needs a capacity spec, got {spec.task!r}"
                 )
             spec.params["n"] = args.n
-            record = run_task(spec, seed=args.seed)
-            _emit(record, args.out, os.path.splitext(os.path.basename(args.spec))[0])
-            return 0
+        record = run_task(spec, seed=args.seed)
+        print(record.human_table())
+        if args.out:
+            for path in write_record(record, args.out, stem):
+                print(f"wrote {path}")
+        return 3 if record.has_violation else 0
     except QdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    return 0
 
 
 if __name__ == "__main__":

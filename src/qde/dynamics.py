@@ -70,13 +70,13 @@ def information(phi: StateFunctional, zeta: Partition) -> InformationReport:
         weights[m.label] = p
         if p <= defaults.WEIGHT_FLOOR:
             continue
-        div = engine.value(branch.scale(1.0 / p))
+        div = engine.report(branch.scale(1.0 / p)).value
         if math.isinf(div):
             infinite = True
             continue
         h_total += p * div
         h_classical += -p * math.log(p)
-        h_quantum += engine.value(branch)
+        h_quantum += engine.report(branch).value
     if infinite:
         h_total = math.inf
         h_quantum = math.inf
@@ -294,6 +294,10 @@ def convexity_probe(
 
     _check_automorphism(theta, zeta)
     for which, phi in (("first", phi0), ("second", phi1)):
+        if phi.dim != zeta.dim_in:
+            raise DimensionMismatch(
+                f"{which} endpoint dimension {phi.dim} vs partition input {zeta.dim_in}"
+            )
         gap = frobenius(theta.predual(phi.density) - phi.density)
         if gap > defaults.INVARIANCE_TOL:
             raise ValidationFailure(f"{which} endpoint is not invariant (residual {gap:.3e})")

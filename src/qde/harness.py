@@ -16,7 +16,7 @@ import os
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .classical import (
     FiniteSpace,
     FunctionPartition,
     SymbolicShift,
+    _check_permutation,
     classical_information,
     embed_diagonal,
     markov_entropy_sequence,
@@ -60,7 +61,7 @@ TASKS = ("info", "dynent", "capacity", "classical", "verify")
 class ClassicalSystem:
     space: FiniteSpace | None = None
     functions: FunctionPartition | None = None
-    permutation: np.ndarray | None = None
+    permutation: list | None = None
     markov: SymbolicShift | None = None
 
 
@@ -73,7 +74,6 @@ class SystemSpec:
     classical: ClassicalSystem | None
     channel: Partition | None  # a channel is given by its code
     params: dict
-    raw: dict = field(repr=False, default=None)
 
 
 def _fail(path: str, message: str) -> SpecFormatError:
@@ -255,12 +255,20 @@ def _classical(obj, path: str) -> ClassicalSystem:
         perm = obj["permutation"]
         if not isinstance(perm, list):
             raise _fail(f"{path}.permutation", "expected a list of integers")
-        permutation = np.array(
-            [_integer(x, f"{path}.permutation[{i}]") for i, x in enumerate(perm)], dtype=int
-        )
+        permutation = [_integer(x, f"{path}.permutation[{i}]") for i, x in enumerate(perm)]
     if "markov" in obj:
         with _at(f"{path}.markov"):
             markov = SymbolicShift(_real_matrix(obj["markov"], f"{path}.markov"))
+    # the Markov and the permutation dynamics both report h_estimate and the series
+    if markov is not None and permutation is not None:
+        raise _fail(path, "markov and permutation exclude each other")
+    if space is not None and functions is not None and functions.points != space.size:
+        raise _fail(f"{path}.functions", f"{functions.points} points, measure has {space.size}")
+    if permutation is not None:
+        if space is None or functions is None:
+            raise _fail(f"{path}.permutation", "a permutation needs measure and functions")
+        with _at(f"{path}.permutation"):
+            _check_permutation(space, permutation)
     return ClassicalSystem(space, functions, permutation, markov)
 
 
@@ -319,7 +327,6 @@ def parse_spec(text: str) -> SystemSpec:
         classical=classical,
         channel=channel,
         params=params,
-        raw=raw,
     )
 
 
@@ -384,17 +391,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _pick_partition(spec: SystemSpec, path="params.partition") -> Partition:
+def _pick_partition(spec: SystemSpec) -> Partition:
     if not spec.partitions:
         raise _fail("partitions", "task needs at least one partition")
     name = spec.params.get("partition")
     if name is None:
         if len(spec.partitions) > 1:
-            raise _fail(path, f"several partitions given, choose one of {sorted(spec.partitions)}")
+            raise _fail(
+                "params.partition",
+                f"several partitions given, choose one of {sorted(spec.partitions)}",
+            )
         return next(iter(spec.partitions.values()))
     if not isinstance(name, str) or name not in spec.partitions:
-        raise _fail(path, f"unknown partition {name!r}")
+        raise _fail("params.partition", f"unknown partition {name!r}")
     return spec.partitions[name]
+
+
+def _check_state_dimension(state: StateFunctional, zeta: Partition) -> None:
+    if state.dim != zeta.dim_in:
+        raise _fail("state", f"state dimension {state.dim} vs partition input {zeta.dim_in}")
 
 
 def _task_info(spec: SystemSpec, seed: int) -> dict:
@@ -403,6 +418,7 @@ def _task_info(spec: SystemSpec, seed: int) -> dict:
     if "support_cutoff" in spec.params:
         raise _fail("params.support_cutoff", "the cutoff is fixed at qde.defaults.SUPPORT_CUTOFF")
     zeta = _pick_partition(spec)
+    _check_state_dimension(spec.state, zeta)
     report = information(spec.state, zeta)
     direct = information_via_direct_sum(spec.state, zeta)
     results = {
@@ -446,6 +462,7 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
     per_candidate = {}
     best_name, best_seq = None, None
     for name, zeta in candidates.items():
+        _check_state_dimension(spec.state, zeta)
         theta = spec.unitary or Automorphism.identity(zeta.dim_in)
         if theta.dim != zeta.dim_in:
             raise _fail("unitary", f"dimension {theta.dim} vs partition input {zeta.dim_in}")
@@ -475,6 +492,7 @@ def _task_capacity(spec: SystemSpec, seed: int) -> dict:
         if code.dim_in != 1:
             raise _fail("state", "capacity task needs a state for a code with input dimension > 1")
         phi = unit_input_state()
+    _check_state_dimension(phi, code)
     n_max = _int_param(spec.params, "n", 1)
     config = OptimizerConfig(
         restarts=_int_param(spec.params, "restarts", 20),

@@ -85,6 +85,15 @@ def _clamp_ascending(w: np.ndarray, tol: float = defaults.NEGATIVE_EIGENVALUE_TO
     return np.maximum(w[..., ::-1], 0.0)
 
 
+def _support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a PSD matrix above `defaults.SUPPORT_CUTOFF` relative to the
+    largest, and their eigenvector columns; none for the zero matrix."""
+    w, v = spectral_decompose(as_hermitian(a))
+    w = clamp_psd_spectrum(w)
+    keep = w > defaults.SUPPORT_CUTOFF * w[0]
+    return w[keep], v[:, keep]
+
+
 def matrix_log_on_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Operator logarithm restricted to the support of a PSD matrix.
 
@@ -92,27 +101,16 @@ def matrix_log_on_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     largest) are treated as outside the support and contribute 0.  Returns
     (logarithm, support projector).
     """
-    w, v = spectral_decompose(as_hermitian(a))
-    w = clamp_psd_spectrum(w)
-    if w.size == 0 or w[0] <= 0.0:
-        z = np.zeros_like(a, dtype=complex)
-        return z, z.copy()
-    keep = w > defaults.SUPPORT_CUTOFF * w[0]
-    vk = v[:, keep]
-    log = (vk * np.log(w[keep])) @ dagger(vk)
+    w, vk = _support(a)
+    log = (vk * np.log(w)) @ dagger(vk)
     proj = vk @ dagger(vk)
     return 0.5 * (log + dagger(log)), 0.5 * (proj + dagger(proj))
 
 
 def power_on_support(a: np.ndarray, exponent: float) -> np.ndarray:
     """Spectral power of a PSD matrix, zero outside the support."""
-    w, v = spectral_decompose(as_hermitian(a))
-    w = clamp_psd_spectrum(w)
-    if w.size == 0 or w[0] <= 0.0:
-        return np.zeros_like(a, dtype=complex)
-    keep = w > defaults.SUPPORT_CUTOFF * w[0]
-    vk = v[:, keep]
-    out = (vk * np.power(w[keep], exponent)) @ dagger(vk)
+    w, vk = _support(a)
+    out = (vk * np.power(w, exponent)) @ dagger(vk)
     return 0.5 * (out + dagger(out))
 
 

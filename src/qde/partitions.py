@@ -377,15 +377,6 @@ class Partition:
     def trivial(cls, dim: int) -> "Partition":
         return cls((KrausMap((np.eye(dim, dtype=complex),), label=0),))
 
-    @classmethod
-    def proportional(cls, weights, dim: int) -> "Partition":
-        """Code of scaled identity maps with the given positive weights."""
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > defaults.UNIT_SUM_TOL:
-            raise ValidationFailure("proportional weights must be nonnegative and sum to 1")
-        eye = np.eye(dim, dtype=complex)
-        return cls(tuple(KrausMap((np.sqrt(x) * eye,), label=i) for i, x in enumerate(w)))
-
     @property
     def dim_in(self) -> int:
         return self.maps[0].dim_in

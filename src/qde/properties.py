@@ -23,6 +23,7 @@ from .classical import (
     transport_partition,
 )
 from .dynamics import an_sequence, conditional_information, information, information_via_direct_sum
+from .errors import ValidationFailure
 from .linalg import dagger, power_on_support
 from .partitions import (
     Automorphism,
@@ -300,12 +301,12 @@ def conjugation_invariance_suite(rng, dims=(2, 3, 4), trials=100) -> float:
     return worst
 
 
-def an_certificate_suite(rng, dims=(2, 3), trials=50) -> float:
+def an_certificate_suite(rng, trials=50) -> float:
     """Monotone, nonnegative, information-bounded conditional sequences on random
-    invariant systems."""
+    invariant systems of dimensions 2 and 3 in turn."""
     worst = 0.0
     for t in range(trials):
-        d = dims[t % len(dims)]
+        d = 2 + t % 2
         u = random_unitary(rng, d)
         theta = Automorphism(u)
         phi = random_invariant_state(rng, u)
@@ -323,12 +324,16 @@ def an_certificate_suite(rng, dims=(2, 3), trials=50) -> float:
 _POINTS = 4  # every finite-space suite draws its instances on 4 points
 
 
+def _random_space(rng) -> FiniteSpace:
+    mu = rng.random(_POINTS) + 0.1
+    return FiniteSpace(mu / mu.sum())
+
+
 def classical_refinement_suite(rng, trials=100) -> float:
     """Joint information of two partitions dominates each single one."""
     worst = 0.0
     for _ in range(trials):
-        mu = rng.random(_POINTS) + 0.1
-        space = FiniteSpace(mu / mu.sum())
+        space = _random_space(rng)
         zeta = random_function_partition(rng, _POINTS, cells=2)
         eta = random_function_partition(rng, _POINTS, cells=2)
         joint = classical_information(space, compose_function_partitions(zeta, eta))
@@ -339,8 +344,7 @@ def classical_refinement_suite(rng, trials=100) -> float:
 def classical_conditional_monotonicity_suite(rng, trials=100) -> float:
     worst = 0.0
     for _ in range(trials):
-        mu = rng.random(_POINTS) + 0.1
-        space = FiniteSpace(mu / mu.sum())
+        space = _random_space(rng)
         zeta = random_function_partition(rng, _POINTS, cells=2)
         eta = random_function_partition(rng, _POINTS, cells=2)
         beta = random_function_partition(rng, _POINTS, cells=2)
@@ -381,8 +385,7 @@ def embedding_agreement_suite(rng, trials=100) -> float:
     """Classical quantities equal their diagonal-embedded quantum counterparts."""
     worst = 0.0
     for _ in range(trials):
-        mu = rng.random(_POINTS) + 0.1
-        space = FiniteSpace(mu / mu.sum())
+        space = _random_space(rng)
         zeta = random_function_partition(rng, _POINTS, cells=2)
         eta = random_function_partition(rng, _POINTS, cells=2)
         state, q_zeta = embed_diagonal(space, zeta)
@@ -416,40 +419,41 @@ class FamilyResult:
         return self.residual <= self.tolerance
 
 
-# (name, suite, tolerance, takes the dims argument, trial cap); suites
-# without dims draw from their own dimensions or finite spaces
+# (name, suite, tolerance, trial cap); the uncapped suites take the dims
+# argument, the capped ones draw from their own dimensions or finite spaces
 _SUITES = (
-    ("lower_bound", lower_bound_suite, 1e-8, True, None),
-    ("joint_convexity", joint_convexity_suite, 1e-8, True, None),
-    ("monotonicity", monotonicity_suite, 1e-8, True, None),
-    ("donald_identity", donald_suite, 1e-8, True, None),
-    ("scaling_identity", scaling_identity_suite, 1e-9, True, None),
-    ("decomposition_gap", decomposition_gap_suite, 1e-8, True, None),
-    ("tracial_commutant", tracial_commutant_suite, 1e-8, True, None),
-    ("direct_sum_agreement", direct_sum_agreement_suite, 1e-8, True, None),
-    ("split_identity", split_identity_suite, 1e-8, True, None),
-    ("subadditivity", subadditivity_suite, 1e-8, True, None),
-    ("conditional_monotonicity", conditional_monotonicity_suite, 1e-8, True, None),
-    ("classical_term", classical_term_suite, 1e-8, True, None),
-    ("quantum_term", quantum_term_suite, 1e-8, True, None),
-    ("conjugation_invariance", conjugation_invariance_suite, 1e-8, True, None),
-    ("an_certificate", an_certificate_suite, 1e-8, False, 50),
-    ("classical_refinement", classical_refinement_suite, 1e-8, False, 100),
-    ("classical_conditional_monotonicity", classical_conditional_monotonicity_suite, 1e-8, False, 100),
-    ("classical_transport", classical_transport_suite, 1e-9, False, 100),
-    ("classical_comparison", classical_comparison_suite, 1e-8, False, 100),
-    ("embedding_agreement", embedding_agreement_suite, 1e-8, False, 100),
+    ("lower_bound", lower_bound_suite, 1e-8, None),
+    ("joint_convexity", joint_convexity_suite, 1e-8, None),
+    ("monotonicity", monotonicity_suite, 1e-8, None),
+    ("donald_identity", donald_suite, 1e-8, None),
+    ("scaling_identity", scaling_identity_suite, 1e-9, None),
+    ("decomposition_gap", decomposition_gap_suite, 1e-8, None),
+    ("tracial_commutant", tracial_commutant_suite, 1e-8, None),
+    ("direct_sum_agreement", direct_sum_agreement_suite, 1e-8, None),
+    ("split_identity", split_identity_suite, 1e-8, None),
+    ("subadditivity", subadditivity_suite, 1e-8, None),
+    ("conditional_monotonicity", conditional_monotonicity_suite, 1e-8, None),
+    ("classical_term", classical_term_suite, 1e-8, None),
+    ("quantum_term", quantum_term_suite, 1e-8, None),
+    ("conjugation_invariance", conjugation_invariance_suite, 1e-8, None),
+    ("an_certificate", an_certificate_suite, 1e-8, 50),
+    ("classical_refinement", classical_refinement_suite, 1e-8, 100),
+    ("classical_conditional_monotonicity", classical_conditional_monotonicity_suite, 1e-8, 100),
+    ("classical_transport", classical_transport_suite, 1e-9, 100),
+    ("classical_comparison", classical_comparison_suite, 1e-8, 100),
+    ("embedding_agreement", embedding_agreement_suite, 1e-8, 100),
 )
 
 
 def run_property_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> dict:
     """Run every inequality family; returns {name: FamilyResult}."""
+    dims = tuple(dims)
+    if not dims:
+        raise ValidationFailure("the property suite needs at least one dimension")
     results = {}
-    for name, fn, tol, takes_dims, cap in _SUITES:
+    for name, fn, tol, cap in _SUITES:
         rng = np.random.default_rng(seed)
-        kwargs = {"trials": trials if cap is None else min(trials, cap)}
-        if takes_dims:
-            kwargs["dims"] = tuple(dims)
+        kwargs = {"trials": trials, "dims": dims} if cap is None else {"trials": min(trials, cap)}
         results[name] = FamilyResult(
             residual=float(fn(rng, **kwargs)), tolerance=tol, trials=kwargs["trials"]
         )

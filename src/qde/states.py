@@ -127,12 +127,6 @@ class StateFunctional:
         return cls.from_density(np.diag(np.asarray(probs, dtype=complex)))
 
     @classmethod
-    def pure(cls, vector) -> "StateFunctional":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls.from_density(np.outer(v, v.conj()))
-
-    @classmethod
     def maximally_mixed(cls, dim: int) -> "StateFunctional":
         return cls.from_density(np.eye(dim, dtype=complex) / dim)
 
@@ -140,9 +134,9 @@ class StateFunctional:
     def weight(self) -> float:
         return float(self._entries().sum().real)
 
-    def require_normalized(self, what: str = "state") -> None:
+    def require_normalized(self) -> None:
         if not abs(self.weight - 1.0) <= 1e-8:  # a NaN weight fails too
-            raise ValidationFailure(f"{what} has weight {self.weight:.12f}, expected 1")
+            raise ValidationFailure(f"state has weight {self.weight:.12f}, expected 1")
 
     def scale(self, factor: float) -> "StateFunctional":
         """The functional times a finite factor >= 0.
@@ -294,9 +288,6 @@ class DivergenceEngine:
         return DivergenceReport(
             term_self - term_cross, off_mass, self.smallest_retained, smallest_p
         )
-
-    def value(self, omega: StateFunctional) -> float:
-        return self.report(omega).value
 
 
 def relative_entropy_report(omega: StateFunctional, phi: StateFunctional) -> DivergenceReport:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qde.capacity import proportional_code_channel
 from qde.dynamics import (
     admissibility_check,
     an_sequence,
@@ -73,7 +74,7 @@ def test_information_uniform_is_ln2():
 
 def test_information_proportional_code():
     weights = [0.2, 0.3, 0.5]
-    zeta = Partition.proportional(weights, 2)
+    zeta = proportional_code_channel(weights, 2)
     rep = information(StateFunctional.from_density(PLUS), zeta)
     assert rep.total_H == pytest.approx(0.0, abs=1e-12)
     assert rep.classical_Hc == pytest.approx(shannon(weights))
@@ -133,7 +134,7 @@ def test_direct_sum_matches_information(rng):
 def test_direct_sum_trivial_and_proportional():
     phi = StateFunctional.from_density(PLUS)
     assert information_via_direct_sum(phi, Partition.trivial(2)) == pytest.approx(0.0, abs=1e-12)
-    zeta = Partition.proportional([0.4, 0.6], 2)
+    zeta = proportional_code_channel([0.4, 0.6], 2)
     assert information_via_direct_sum(phi, zeta) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -325,7 +326,7 @@ def test_admissibility_pinching():
 
 def test_admissibility_proportional():
     ok, _ = admissibility_check(
-        StateFunctional.from_density(PLUS), Partition.proportional([0.5, 0.5], 2), depth=2
+        StateFunctional.from_density(PLUS), proportional_code_channel([0.5, 0.5], 2), depth=2
     )
     assert ok
 
@@ -371,6 +372,17 @@ def test_an_automorphism_of_the_wrong_dimension_fails_closed():
     # before the invariance check, which would multiply a 3x3 by a 2x2 matrix
     with pytest.raises(DimensionMismatch, match="automorphism dimension 3"):
         convexity_probe(phi, phi, z_partition(), theta, depth=2)
+
+
+def test_convexity_probe_endpoints_of_the_wrong_dimension_fail_closed():
+    phi = StateFunctional.maximally_mixed(3)
+    # before the invariance check, which would multiply a 2x2 by a 3x3 matrix
+    with pytest.raises(DimensionMismatch, match="first endpoint dimension 3 vs partition input 2"):
+        convexity_probe(phi, phi, z_partition(), Automorphism.identity(2), depth=2)
+    with pytest.raises(DimensionMismatch, match="second endpoint dimension 3"):
+        convexity_probe(
+            StateFunctional.maximally_mixed(2), phi, z_partition(), Automorphism.identity(2)
+        )
 
 
 # --- product additivity -------------------------------------------------------

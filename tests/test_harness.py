@@ -42,7 +42,6 @@ def test_parse_minimal_info_spec():
     assert spec.task == "info"
     assert spec.state.weight == pytest.approx(1.0)
     assert spec.partitions["zbasis"].size == 2
-    assert spec.raw["task"] == "info"
 
 
 def test_parse_flags_unit_sum_violation():
@@ -141,6 +140,49 @@ def test_run_classical_markov_task():
     expected = -sum(0.5 * p * math.log(p) for p in (0.9, 0.1, 0.1, 0.9))
     assert record.results["h_estimate"] == pytest.approx(expected, abs=1e-10)
     assert len(record.series) == 5
+
+
+# a 4-cycle on the uniform measure and a two-cell partition with fractional functions
+PERMUTATION_SYSTEM = {
+    "measure": [0.25, 0.25, 0.25, 0.25],
+    "functions": [[0.6, 0.8, 1.0, 0.0], [0.8, 0.6, 0.0, 1.0]],
+    "permutation": [1, 2, 3, 0],
+}
+
+
+def test_run_classical_permutation_task():
+    from qde.classical import (
+        FiniteSpace,
+        FunctionPartition,
+        classical_information,
+        permutation_entropy_sequence,
+    )
+
+    raw = {"schema_version": "1", "task": "classical", "classical": PERMUTATION_SYSTEM,
+           "params": {"N": 4}}
+    record = run_task(parse_spec(json.dumps(raw)))
+    space = FiniteSpace(np.array(PERMUTATION_SYSTEM["measure"]))
+    zeta = FunctionPartition(np.array(PERMUTATION_SYSTEM["functions"]))
+    seq = permutation_entropy_sequence(space, PERMUTATION_SYSTEM["permutation"], zeta, 4)
+    assert record.results["H"] == classical_information(space, zeta)
+    assert record.results["embedding_residual"] <= 1e-12
+    assert record.results["h_estimate"] == seq.h_estimate
+    assert record.results["monotonicity_residual"] == seq.monotonicity_residual
+    assert record.series == [[n + 1, v] for n, v in enumerate(seq.values)]
+
+
+@pytest.mark.parametrize("task", ["info", "dynent", "capacity"])
+def test_cli_state_dimension_mismatch_fails_closed_at_state(tmp_path, capsys, task):
+    raw = info_spec()
+    raw["task"] = task
+    del raw["algebra"]
+    raw["state"] = cm(np.eye(3) / 3)
+    spec_path = tmp_path / "mismatch.json"
+    spec_path.write_text(json.dumps(raw))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 2
+    assert "state: state dimension 3 vs partition input 2" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_run_capacity_task_with_channel():
@@ -415,6 +457,18 @@ def test_cli_capacity_block_length_below_one_fails_closed(tmp_path, n):
     [
         ({"measure": [0.5, 0.6], "functions": [[1.0, 0.0], [0.0, 1.0]]}, "classical.measure"),
         ({"measure": [0.5, 0.5], "functions": [[1.0, 0.5], [0.0, 0.5]]}, "classical.functions"),
+        # both dynamics report h_estimate and the series: one would overwrite the other
+        (dict(PERMUTATION_SYSTEM, markov=[[0.9, 0.1], [0.1, 0.9]]), "classical"),
+        ({"markov": [[0.9, 0.1], [0.1, 0.9]], "permutation": [1, 0]}, "classical"),
+        ({"permutation": [1, 0]}, "classical.permutation"),
+        (dict(PERMUTATION_SYSTEM, measure=[0.5, 0.5]), "classical.functions"),
+        (dict(PERMUTATION_SYSTEM, permutation=[0, 0, 1, 2]), "classical.permutation"),
+        (dict(PERMUTATION_SYSTEM, permutation=[0, 1, 2]), "classical.permutation"),
+        (dict(PERMUTATION_SYSTEM, permutation=[10**30, 0, 1, 2]), "classical.permutation"),
+        (
+            dict(PERMUTATION_SYSTEM, measure=[0.1, 0.2, 0.3, 0.4], permutation=[1, 0, 3, 2]),
+            "classical.permutation",
+        ),
     ],
 )
 def test_cli_classical_spec_errors_fail_closed_at_their_path(tmp_path, classical, path):
@@ -444,6 +498,14 @@ def test_verify_passes_dims_to_the_classical_term_suite(monkeypatch):
     # all draw their triples from the requested dimensions
     assert seen == {(2,)}
     assert results["classical_term"].trials == 3
+
+
+def test_property_suite_without_dimensions_fails_closed():
+    from qde.errors import ValidationFailure
+    from qde.properties import run_property_suite
+
+    with pytest.raises(ValidationFailure, match="at least one dimension"):
+        run_property_suite(dims=(), trials=1)
 
 
 def _cli_in_process(args, capsys):
