@@ -13,7 +13,11 @@ both nonnegative and bounded by H(code).  The finite-block capacities C_n
 and D_n are suprema of I and Ic over measurements on the n-fold product
 output; this module reports lower bounds from a deterministically seeded
 multi-restart simplex search over rotated projective measurements that
-steps on their outcome weights, each bound certified by `information_gain`.
+steps on their outcome weights.  On a qubit output a step takes the weights
+from the measurement's Bloch vector in closed form; a larger output keeps
+one eigh of the generator per step.  Either way each bound is certified
+once through the full library path (`projective_measurement`, `compose`,
+`information`).
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ def ensemble_channel(densities, probs) -> Partition:
     sqrt(p_i * s_a) u_a over the spectral decomposition of its density.
     """
     probs = np.asarray(probs, dtype=float)
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-10:
+    # negated comparisons, so a NaN fails them
+    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-10):
         raise ValidationFailure("ensemble probabilities must be nonnegative and sum to 1")
     if len(densities) != len(probs):
         raise DimensionMismatch(f"{len(densities)} densities but {len(probs)} probabilities")
@@ -119,7 +124,7 @@ def dephasing_channel(p: float) -> Partition:
 def proportional_code_channel(weights, dim: int) -> Partition:
     """Proportional code of the identity channel; carries zero information."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > defaults.UNIT_SUM_TOL:
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= defaults.UNIT_SUM_TOL):
         raise ValidationFailure("proportional weights must be nonnegative and sum to 1")
     eye = np.eye(dim, dtype=complex)
     return Partition(tuple(KrausMap((np.sqrt(x) * eye,), label=i) for i, x in enumerate(w)))
@@ -151,10 +156,10 @@ def information_gain(
     return _gain_from_parts(base, after, phi, code, eta)
 
 
-def _gain_from_weights(base, branches: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """(I, Ic) of the code then the rank-1 projective measurement onto the
-    columns u_j of `u`, from the weights q_ij = <u_j|B_i|u_j>; `branches`
-    stacks the letters' output branches B_i and `base` is the code information.
+def _gain_from_weights(base, q: list) -> tuple[float, float]:
+    """(I, Ic) of the code then a rank-1 projective measurement onto the
+    vectors u_j, from the rows q_i = (q_ij) of the weights q_ij = <u_j|B_i|u_j>
+    over the letters' output branches B_i; `base` is the code information.
 
     Letter i then outcome j leaves q_ij P_j (P_j = |u_j><u_j|), the output
     measured alone leaves a_j P_j (a_j = sum_i q_ij), and both have the mean
@@ -168,17 +173,80 @@ def _gain_from_weights(base, branches: np.ndarray, u: np.ndarray) -> tuple[float
     its divergence is infinite and the gain undefined.  The sums run over
     Python floats: q has a few dozen entries, fewer than one numpy call costs.
     """
-    q = (u.conj() * (branches @ u)).sum(axis=1).real.tolist()
     a = [sum(column) for column in zip(*q)]
     floor, edge = defaults.WEIGHT_FLOOR, defaults.SUPPORT_CUTOFF * max(a)
     if base.infinite_flag or any(floor < a_j <= edge for a_j in a):
         raise ValidationFailure("information gain undefined: infinite divergence encountered")
     minus_log_a = [-math.log(a_j) if a_j > floor else 0.0 for a_j in a]
-    h_after = sum(a_j * m_j for a_j, m_j in zip(a, minus_log_a))
-    live = [(q_ij, m_j) for row in q for q_ij, m_j in zip(row, minus_log_a) if q_ij > floor]
-    joint = sum(q_ij * m_j for q_ij, m_j in live)
-    joint_c = -sum(q_ij * math.log(q_ij) for q_ij, _ in live)
+    h_after = joint = joint_c = 0.0
+    for a_j, m_j in zip(a, minus_log_a):
+        h_after += a_j * m_j
+    for row in q:
+        for q_ij, m_j in zip(row, minus_log_a):
+            if q_ij > floor:
+                joint += q_ij * m_j
+                joint_c -= q_ij * math.log(q_ij)
     return base.total_H + h_after - joint, base.classical_Hc + h_after - joint_c
+
+
+def _rotated_weights(branches: np.ndarray, u: np.ndarray) -> list:
+    """The rows q_i = (<u_j|B_i|u_j>)_j over the columns u_j of `u`."""
+    return (u.conj() * (branches @ u)).sum(axis=1).real.tolist()
+
+
+def _bloch_weights(branches: np.ndarray):
+    """params -> the rows q_i of `projective_measurement(params, hermitian_basis(2))`
+    on the 2 x 2 branches B_i, in closed form over Python floats.
+
+    The basis is sigma/sqrt(2), so exp(iH) rotates z to the Bloch vector n of
+    outcome 0 by the angle -sqrt(2)|params| about params/|params|.  With
+    k = sin(|params|/sqrt(2)) params/|params|, c = cos(|params|/sqrt(2)) and
+    r = kx^2 + ky^2 = (1 - nz)/2, that is n = (2(kx kz - c ky), 2(c kx + ky kz),
+    1 - 2r), and
+        q_i0 = (1 - r) B00 + r B11 + nx Re B01 - ny Im B01,
+        q_i1 = r B00 + (1 - r) B11 - nx Re B01 + ny Im B01,
+    which at n = z are B00 and B11 exactly, as the eigh route gives them.
+    """
+    entries = [
+        (b00.real, b11.real, b01.real, b01.imag)
+        for b00, b01, b11 in branches[:, [0, 0, 1], [0, 1, 1]].tolist()
+    ]
+
+    def weights(params):
+        x, y, z = params.tolist()
+        norm = math.sqrt(x * x + y * y + z * z)
+        half = norm / math.sqrt(2.0)
+        scale = math.sin(half) / norm if norm else 0.0
+        c, kx, ky, kz = math.cos(half), scale * x, scale * y, scale * z
+        r = kx * kx + ky * ky
+        nx, ny = 2.0 * (kx * kz - c * ky), 2.0 * (c * kx + ky * kz)
+        rows = []
+        for b00, b11, re, im in entries:
+            e = nx * re - ny * im
+            rows.append([(1.0 - r) * b00 + r * b11 + e, r * b00 + (1.0 - r) * b11 - e])
+        return rows
+
+    return weights
+
+
+def _objective(base, branches: np.ndarray, basis: np.ndarray, index: int):
+    """The search objective: params -> the gain (I for index 0, Ic for 1) of the
+    code then `projective_measurement(params, basis)`, in weight form.
+
+    A qubit output takes its weights from the Bloch vector in closed form; a
+    larger one from `_rotation`, one eigh of the generator per step.
+    """
+    if basis.shape[-1] == 2:
+        weights = _bloch_weights(branches)
+    else:
+
+        def weights(params):
+            return _rotated_weights(branches, _rotation(params, basis))
+
+    def objective(params):
+        return _gain_from_weights(base, weights(params))[index]
+
+    return objective
 
 
 def _generator(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -277,6 +345,10 @@ def _optimize(
 ) -> CapacityReport:
     if n < 1:
         raise ValidationFailure("block length must be at least 1")
+    if code.dim_out < 2:
+        raise ValidationFailure(
+            f"a capacity search needs an output dimension of at least 2, got {code.dim_out}"
+        )
     if n > 2:
         raise ResourceCapExceeded(
             f"block length {n} rejected (output dimension {code.dim_out**n})"
@@ -289,10 +361,7 @@ def _optimize(
     basis = np.array(hermitian_basis(code_n.dim_out))
     index = 0 if which == "information" else 1
     branches = np.stack([m.predual(phi_n.density) for m in code_n.maps])
-
-    def objective(params):
-        return _gain_from_weights(base, branches, _rotation(params, basis))[index]
-
+    objective = _objective(base, branches, basis, index)
     value, params, converged = _search(objective, len(basis), config)
     # the certificate: the winner evaluated once through the full library path
     after = code_n.total_predual(phi_n)

@@ -391,7 +391,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _pick_partition(spec: SystemSpec) -> Partition:
+def _partition_name(spec: SystemSpec) -> str:
+    """The name of the partition the task runs on: `params.partition`, or the only one."""
     if not spec.partitions:
         raise _fail("partitions", "task needs at least one partition")
     name = spec.params.get("partition")
@@ -401,10 +402,10 @@ def _pick_partition(spec: SystemSpec) -> Partition:
                 "params.partition",
                 f"several partitions given, choose one of {sorted(spec.partitions)}",
             )
-        return next(iter(spec.partitions.values()))
+        return next(iter(spec.partitions))
     if not isinstance(name, str) or name not in spec.partitions:
         raise _fail("params.partition", f"unknown partition {name!r}")
-    return spec.partitions[name]
+    return name
 
 
 def _check_state_dimension(state: StateFunctional, zeta: Partition) -> None:
@@ -417,7 +418,7 @@ def _task_info(spec: SystemSpec, seed: int) -> dict:
         raise _fail("state", "info task needs a state")
     if "support_cutoff" in spec.params:
         raise _fail("params.support_cutoff", "the cutoff is fixed at qde.defaults.SUPPORT_CUTOFF")
-    zeta = _pick_partition(spec)
+    zeta = spec.partitions[_partition_name(spec)]
     _check_state_dimension(spec.state, zeta)
     report = information(spec.state, zeta)
     direct = information_via_direct_sum(spec.state, zeta)
@@ -451,7 +452,7 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
     ):
         raise _fail("params.partitions", "expected a nonempty list of partition names")
     if names is None:
-        candidates = {None: _pick_partition(spec)}
+        candidates = {None: spec.partitions[_partition_name(spec)]}
     else:
         # candidate sweep: the best estimate is only a lower bound on the
         # supremum over measurements, never the supremum itself
@@ -486,7 +487,13 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
 
 
 def _task_capacity(spec: SystemSpec, seed: int) -> dict:
-    code = spec.channel if spec.channel is not None else _pick_partition(spec)
+    if spec.channel is not None:
+        code, path = spec.channel, "channel"
+    else:
+        name = _partition_name(spec)
+        code, path = spec.partitions[name], f"partitions.{name}"
+    if code.dim_out < 2:
+        raise _fail(path, f"capacity needs an output dimension of at least 2, got {code.dim_out}")
     phi = spec.state
     if phi is None:
         if code.dim_in != 1:

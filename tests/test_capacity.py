@@ -355,14 +355,28 @@ def _trine():
     return ensemble_channel([np.outer(k, k) for k in kets], [1 / 3, 1 / 3, 1 / 3])
 
 
-def _weight_gains(phi, code, params):
-    """(I, Ic) of the search objective: the weight form."""
-    import qde.capacity as cap
+def _base_and_branches(phi, code):
     from qde.dynamics import information
 
-    branches = np.stack([m.predual(phi.density) for m in code.maps])
+    return information(phi, code), np.stack([m.predual(phi.density) for m in code.maps])
+
+
+def _eigh_weight_gains(phi, code, params):
+    """(I, Ic) of the weight form with the weights from `_rotation`'s eigh."""
+    import qde.capacity as cap
+
+    base, branches = _base_and_branches(phi, code)
     u = cap._rotation(params, np.array(hermitian_basis(code.dim_out)))
-    return cap._gain_from_weights(information(phi, code), branches, u)
+    return cap._gain_from_weights(base, cap._rotated_weights(branches, u))
+
+
+def _objective_gains(phi, code, params):
+    """(I, Ic) of the objective `_optimize` builds: the Bloch form on a qubit output."""
+    import qde.capacity as cap
+
+    base, branches = _base_and_branches(phi, code)
+    basis = np.array(hermitian_basis(code.dim_out))
+    return tuple(cap._objective(base, branches, basis, index)(params) for index in (0, 1))
 
 
 def _library_gains(phi, code, params):
@@ -387,13 +401,13 @@ def test_weight_form_matches_the_library_gain(rng, n):
         for _ in range(20):
             params = rng.uniform(-np.pi, np.pi, code_n.dim_out**2 - 1)
             library = _library_gains(phi_n, code_n, params)
-            assert _weight_gains(phi_n, code_n, params) == pytest.approx(library, abs=1e-12)
+            assert _objective_gains(phi_n, code_n, params) == pytest.approx(library, abs=1e-12)
 
 
 def test_both_gain_paths_reject_an_outcome_on_the_support_edge():
     # outcome 1 carries weight 1e-13: live, yet within SUPPORT_CUTOFF of the mean's top
     code = ensemble_channel([np.diag([1 - 1e-13, 1e-13])], [1.0])
-    for gains in (_weight_gains, _library_gains):
+    for gains in (_eigh_weight_gains, _objective_gains, _library_gains):
         with pytest.raises(ValidationFailure, match="infinite divergence"):
             gains(unit_input_state(), code, np.zeros(3))
 
@@ -457,18 +471,114 @@ def _floor_code(w):
 
 @pytest.mark.parametrize("multiple", [1, 2])
 def test_a_joint_weight_at_the_floor_contributes_nothing_on_both_gain_paths(multiple):
+    import qde.capacity as cap
     from qde.dynamics import information
 
     w = multiple * defaults.WEIGHT_FLOOR
     phi, code, q = _floor_code(w)
     eta = z_measurement()
     assert information(phi, compose(code, eta)).weights[(0, 0)] == w
+    # the qubit objective's weights at params = 0 are the diagonals, bit for bit
+    assert cap._bloch_weights(_base_and_branches(phi, code)[1])(np.zeros(3)) == q
     a = [q[0][j] + q[1][j] for j in range(2)]
     kept = [x for row in q for x in row if x > defaults.WEIGHT_FLOOR]
     assert len(kept) == 4 - (w == defaults.WEIGHT_FLOOR)
     expected_c = information(phi, code).classical_Hc + shannon(a) - shannon(kept)
     # the entry at the floor shifts Ic by w ln(1/w), 3e-13 or more: far above the tolerance
     assert w * -math.log(w) > 3e-13
-    for gains in (_weight_gains, _library_gains):
+    for gains in (_eigh_weight_gains, _objective_gains, _library_gains):
         _, gain_c = gains(phi, code, np.zeros(3))
         assert gain_c == pytest.approx(expected_c, abs=2e-15)
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-12, 1e-8, 1e-4, 0.1, 1.0, 3.0, 7.5, 20.0])
+def test_the_qubit_objective_matches_the_eigh_weight_form(rng, norm):
+    import qde.capacity as cap
+
+    basis = np.array(hermitian_basis(2))
+    mixed = StateFunctional.from_density(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))
+    zoo = [
+        (unit_input_state(), _trine()),
+        (unit_input_state(), zero_plus_ensemble()),
+        (mixed, depolarizing_channel(0.3)),
+        (mixed, dephasing_channel(0.25)),
+    ]
+    for phi, code in zoo:
+        _, branches = _base_and_branches(phi, code)
+        bloch = cap._bloch_weights(branches)
+        for _ in range(10):
+            direction = rng.normal(size=3)
+            params = norm * direction / np.linalg.norm(direction)
+            eigh_form = cap._rotated_weights(branches, cap._rotation(params, basis))
+            assert np.abs(np.subtract(bloch(params), eigh_form)).max() <= 1e-13
+            gains = _objective_gains(phi, code, params)
+            assert gains == pytest.approx(_eigh_weight_gains(phi, code, params), abs=1e-13)
+
+
+def test_a_qubit_search_objective_runs_no_eigensolve(monkeypatch):
+    import qde.capacity as cap
+
+    eigh, search = np.linalg.eigh, cap._search
+    evaluating, solves, evaluations = [], [], []
+
+    def counting_eigh(*args, **kwargs):
+        if evaluating:
+            solves.append(args)
+        return eigh(*args, **kwargs)
+
+    def watched_search(objective, nparams, config):
+        def watched(params):
+            evaluating.append(True)
+            try:
+                return objective(params)
+            finally:
+                evaluating.pop()
+                evaluations.append(params)
+
+        return search(watched, nparams, config)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(cap, "_search", watched_search)
+    mixed = StateFunctional.from_density(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))
+    cfg = OptimizerConfig(restarts=2, max_iterations=20, seed=0)
+    merged_capacity_report(unit_input_state(), _trine(), 1, cfg)
+    merged_capacity_report(mixed, depolarizing_channel(0.3), 1, cfg)
+    assert evaluations and not solves
+
+
+def _binary_entropy(p):
+    return -sum(x * math.log(x) for x in (p, 1.0 - p) if x > 0)
+
+
+def test_qubit_search_meets_levitins_closed_form_for_two_pure_states(rng):
+    # two equiprobable pure states at overlap c = |<a|b>| have the accessible
+    # information D_1 = ln 2 - h((1 + sqrt(1 - c^2)) / 2) (Levitin 1995)
+    kets = [(np.array([1.0, 0.0]), np.array([1.0, 1.0]))]
+    kets += [tuple(rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2)) for _ in range(4)]
+    cfg = OptimizerConfig(restarts=4, max_iterations=200, seed=0)
+    for a, b in kets:
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        overlap = abs(np.vdot(a, b))
+        levitin = LN2 - _binary_entropy((1 + math.sqrt(1 - overlap**2)) / 2)
+        code = ensemble_channel([np.outer(a, a.conj()), np.outer(b, b.conj())], [0.5, 0.5])
+        report = optimize_Dn(unit_input_state(), code, 1, cfg)
+        assert report.D_n_lower == pytest.approx(levitin, abs=1e-9)
+
+
+def test_a_one_dimensional_output_fails_the_search_closed():
+    one = np.ones((1, 1), dtype=complex)
+    for code in (
+        ensemble_channel([one], [1.0]),
+        proportional_code_channel([0.5, 0.5], 1),
+        depolarizing_channel(0.5, dim=1),
+    ):
+        phi = StateFunctional.from_density(one)
+        with pytest.raises(ValidationFailure, match="output dimension of at least 2"):
+            optimize_Cn(phi, code, 1, FAST)
+
+
+def test_constructors_reject_a_nan_probability_with_their_own_message():
+    with pytest.raises(ValidationFailure, match="ensemble probabilities"):
+        ensemble_channel([P0, P1], [math.nan, 0.5])
+    with pytest.raises(ValidationFailure, match="proportional weights"):
+        proportional_code_channel([math.nan, 0.5], 2)

@@ -704,3 +704,25 @@ def test_code_channel_and_partition_give_the_same_record(code, state):
 def test_huge_counts_hit_a_resource_cap_before_any_work(raw):
     with pytest.raises(ResourceCapExceeded):
         run_task(parse_spec(json.dumps(raw)))
+
+
+_ONE = cm(np.eye(1))
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        ({"channel": {"kind": "ensemble", "states": [_ONE], "probs": [1.0]}}, "channel"),
+        ({"channel": {"kind": "proportional", "weights": [0.5, 0.5], "dim": 1}, "state": _ONE},
+         "channel"),
+        ({"channel": {"kind": "depolarizing", "p": 0.5, "dim": 1}, "state": _ONE}, "channel"),
+        ({"partitions": {"one": [[_ONE]]}}, "partitions.one"),
+    ],
+    ids=["ensemble", "proportional", "depolarizing", "partition"],
+)
+def test_cli_capacity_of_a_one_dimensional_output_exits_2_at_its_path(tmp_path, capsys, raw, path):
+    spec_path = tmp_path / "capacity.json"
+    spec_path.write_text(json.dumps({"schema_version": "1", "task": "capacity", **raw}))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}: capacity needs an output dimension")
