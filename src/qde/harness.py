@@ -80,6 +80,41 @@ def _fail(path: str, message: str) -> SpecFormatError:
     return SpecFormatError(path, message)
 
 
+# the keys each spec object may hold: the top level and params per task, the
+# channel per kind, and the nested objects; _check_keys rejects any other key
+_KEYS = {
+    "info": "schema_version task params algebra state partitions",
+    "info params": "partition seed",
+    "dynent": "schema_version task params algebra state partitions unitary",
+    "dynent params": "N partition partitions seed",
+    # a capacity spec may hold partitions beside a channel, which then wins
+    "capacity": "schema_version task params algebra state partitions channel",
+    "capacity params": "n restarts max_iterations partition seed",
+    "classical": "schema_version task params classical",
+    "classical params": "N seed",
+    "verify": "schema_version task params",
+    "verify params": "dims trials seed",
+    "ensemble channel": "kind states probs",
+    "depolarizing channel": "kind p dim",
+    "dephasing channel": "kind p",
+    "proportional channel": "kind weights dim",
+    "code channel": "kind code",
+    "classical block": "measure functions permutation markov",
+    "algebra": "blocks",
+    "partition": "maps",
+    "map": "label kraus",
+}
+
+
+def _check_keys(obj: dict, kind: str, path: str) -> None:
+    """Fail at `<path>.<key>` on the first key of `obj` that a `kind` object may not hold."""
+    allowed = _KEYS[kind].split()
+    for key in obj:
+        if key not in allowed:
+            key_path = f"{path}.{key}" if path else key
+            raise _fail(key_path, f"unknown key, expected one of {allowed}")
+
+
 @contextmanager
 def _at(path: str):
     """Report a library error raised inside the block at the spec path `path`;
@@ -185,6 +220,7 @@ def _real_matrix(obj, path: str) -> np.ndarray:
 
 def _partition(obj, path: str) -> Partition:
     if isinstance(obj, dict):
+        _check_keys(obj, "partition", path)
         obj = obj.get("maps")
         if obj is None:
             raise _fail(path, "partition object needs a 'maps' list")
@@ -196,6 +232,7 @@ def _partition(obj, path: str) -> Partition:
         label = i
         kraus_obj = entry
         if isinstance(entry, dict):
+            _check_keys(entry, "map", f"{path}[{i}]")
             label = entry.get("label", i)
             if isinstance(label, (list, dict)):
                 raise _fail(f"{path}[{i}].label", "expected a string or a number")
@@ -217,6 +254,9 @@ def _channel(obj, path: str) -> Partition:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise _fail(path, "channel needs a 'kind'")
     kind = obj["kind"]
+    if f"{kind} channel" not in _KEYS:
+        raise _fail(f"{path}.kind", f"unknown channel kind {kind!r}")
+    _check_keys(obj, f"{kind} channel", path)
     with _at(path):
         if kind == "ensemble":
             states = obj.get("states")
@@ -236,14 +276,13 @@ def _channel(obj, path: str) -> Partition:
                 _vector(obj.get("weights"), f"{path}.weights"),
                 _factor_dimension(obj.get("dim", 2), f"{path}.dim"),
             )
-        if kind == "code":
-            return _partition(obj.get("code"), f"{path}.code")
-    raise _fail(f"{path}.kind", f"unknown channel kind {kind!r}")
+        return _partition(obj.get("code"), f"{path}.code")  # the code kind
 
 
 def _classical(obj, path: str) -> ClassicalSystem:
     if not isinstance(obj, dict):
         raise _fail(path, "expected an object")
+    _check_keys(obj, "classical block", path)
     space = functions = permutation = markov = None
     if "measure" in obj:
         with _at(f"{path}.measure"):
@@ -286,10 +325,18 @@ def parse_spec(text: str) -> SystemSpec:
     task = raw.get("task")
     if task not in TASKS:
         raise _fail("task", f"task must be one of {TASKS}, got {task!r}")
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        raise _fail("params", "expected an object")
+    _check_keys(params, f"{task} params", "params")
+    _check_keys(raw, task, "")
 
     algebra = None
     if "algebra" in raw:
-        blocks = raw["algebra"].get("blocks") if isinstance(raw["algebra"], dict) else raw["algebra"]
+        blocks = raw["algebra"]
+        if isinstance(blocks, dict):
+            _check_keys(blocks, "algebra", "algebra")
+            blocks = blocks.get("blocks")
         if not isinstance(blocks, list):
             raise _fail("algebra", "expected a list of block sizes")
         sizes = tuple(_dimension(b, f"algebra.blocks[{i}]") for i, b in enumerate(blocks))
@@ -316,9 +363,6 @@ def parse_spec(text: str) -> SystemSpec:
 
     classical = _classical(raw["classical"], "classical") if "classical" in raw else None
     channel = _channel(raw["channel"], "channel") if "channel" in raw else None
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise _fail("params", "expected an object")
     return SystemSpec(
         task=task,
         state=state,
@@ -416,8 +460,6 @@ def _check_state_dimension(state: StateFunctional, zeta: Partition) -> None:
 def _task_info(spec: SystemSpec, seed: int) -> dict:
     if spec.state is None:
         raise _fail("state", "info task needs a state")
-    if "support_cutoff" in spec.params:
-        raise _fail("params.support_cutoff", "the cutoff is fixed at qde.defaults.SUPPORT_CUTOFF")
     zeta = spec.partitions[_partition_name(spec)]
     _check_state_dimension(spec.state, zeta)
     report = information(spec.state, zeta)
@@ -444,8 +486,6 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
     if spec.state is None:
         raise _fail("state", "dynent task needs a state")
     depth = _int_param(spec.params, "N", defaults.DEFAULT_DEPTH)
-    if "branch_cap" in spec.params:
-        raise _fail("params.branch_cap", "the cap is fixed at qde.defaults.BRANCH_CAP")
     names = spec.params.get("partitions")
     if names is not None and not (
         isinstance(names, list) and names and all(isinstance(n, str) for n in names)

@@ -1,8 +1,9 @@
 """Randomized inequality suites and the instance generators behind them.
 
-Each suite draws seeded random instances and returns the worst violation
-residual (0 means every instance satisfied the inequality exactly or
-better).  The same functions back `qde verify` and the acceptance tests.
+Each suite runs one trial per seeded random instance through `_family` and
+returns the worst violation residual (0 means every instance satisfied the
+inequality exactly or better; a NaN residual gives inf, a failure).  The same
+functions back `qde verify` and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from .classical import (
 from .dynamics import an_sequence, conditional_information, information, information_via_direct_sum
 from .errors import ValidationFailure
 from .linalg import dagger, power_on_support
-from .partitions import (
-    Automorphism,
-    KrausMap,
-    Partition,
-    compose,
-    conjugate,
-    predual_apply,
-)
+from .partitions import Automorphism, KrausMap, Partition, compose, conjugate, predual_apply
 from .states import (
     StateFunctional,
     donald_residual,
@@ -84,13 +78,6 @@ def random_partition(
     return Partition(maps)
 
 
-def random_unital_map(
-    rng: np.random.Generator, dim_in: int, dim_out: int | None = None
-) -> KrausMap:
-    part = random_partition(rng, dim_in, dim_out, outcomes=1, kraus_per_map=3)
-    return part.maps[0]
-
-
 def random_invariant_state(rng: np.random.Generator, unitary: np.ndarray) -> StateFunctional:
     """A state commuting with the unitary (mixture in its eigenbasis)."""
     _, v = np.linalg.eig(unitary)
@@ -109,103 +96,110 @@ def random_function_partition(
 
 
 # ---------------------------------------------------------------------------
+# the trial runner
+
+
+def _family(dims=None):
+    """Turn a trial `(rng, dims, t)`, which draws one instance and returns how far
+    it violates its inequality (or a sequence of such residuals), into a suite
+    `(rng, dims=dims, trials=200)`.  The suite returns the worst residual: 0 when
+    none is positive, inf when one is NaN."""
+
+    def build(trial):
+        def suite(rng, dims=dims, trials=200) -> float:
+            worst = 0.0
+            for t in range(trials):
+                residual = np.max(trial(rng, dims, t))
+                if math.isnan(residual):
+                    return math.inf
+                worst = max(worst, residual)
+            return worst
+
+        suite.__name__ = suite.__qualname__ = trial.__name__
+        suite.__doc__ = trial.__doc__
+        return suite
+
+    return build
+
+
+# ---------------------------------------------------------------------------
 # relative-entropy suites
 
 
-def lower_bound_suite(rng, dims=(2, 3, 4, 5, 6), trials=200) -> float:
+@_family(dims=(2, 3, 4, 5, 6))
+def lower_bound_suite(rng, dims, t):
     """Half squared trace distance never exceeds the relative entropy."""
-    worst = 0.0
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        a, b = random_state(rng, d), random_state(rng, d)
-        s = relative_entropy(a, b)
-        worst = max(worst, 0.5 * trace_distance(a, b) ** 2 - s)
-    return worst
+    d = dims[t % len(dims)]
+    a, b = random_state(rng, d), random_state(rng, d)
+    return 0.5 * trace_distance(a, b) ** 2 - relative_entropy(a, b)
 
 
-def joint_convexity_suite(rng, dims=(2, 3, 4), trials=200) -> float:
-    worst = 0.0
-    lambdas = np.arange(0.1, 0.95, 0.1)
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        a1, a2 = random_state(rng, d), random_state(rng, d)
-        b1, b2 = random_state(rng, d), random_state(rng, d)
-        lam = float(lambdas[t % len(lambdas)])
-        mixed = relative_entropy(mix(a1, a2, lam), mix(b1, b2, lam))
-        bound = (1 - lam) * relative_entropy(a1, b1) + lam * relative_entropy(a2, b2)
-        worst = max(worst, mixed - bound)
-    return worst
+_LAMBDAS = np.arange(0.1, 0.95, 0.1)
 
 
-def monotonicity_suite(rng, dims=(2, 3, 4), trials=200) -> float:
+@_family(dims=(2, 3, 4))
+def joint_convexity_suite(rng, dims, t):
+    d = dims[t % len(dims)]
+    a1, a2 = random_state(rng, d), random_state(rng, d)
+    b1, b2 = random_state(rng, d), random_state(rng, d)
+    lam = float(_LAMBDAS[t % len(_LAMBDAS)])
+    mixed = relative_entropy(mix(a1, a2, lam), mix(b1, b2, lam))
+    return mixed - ((1 - lam) * relative_entropy(a1, b1) + lam * relative_entropy(a2, b2))
+
+
+@_family(dims=(2, 3, 4))
+def monotonicity_suite(rng, dims, t):
     """Relative entropy contracts under precomposition with unital CP maps."""
-    worst = 0.0
-    for t in range(trials):
-        d_in = dims[t % len(dims)]
-        d_out = dims[(t + 1) % len(dims)]
-        tau = random_unital_map(rng, d_in, d_out)
-        a, b = random_state(rng, d_in), random_state(rng, d_in)
-        s_after = relative_entropy(predual_apply(tau, a), predual_apply(tau, b))
-        worst = max(worst, s_after - relative_entropy(a, b))
-    return worst
+    d_in = dims[t % len(dims)]
+    d_out = dims[(t + 1) % len(dims)]
+    tau = random_partition(rng, d_in, d_out, outcomes=1, kraus_per_map=3).maps[0]
+    a, b = random_state(rng, d_in), random_state(rng, d_in)
+    return relative_entropy(predual_apply(tau, a), predual_apply(tau, b)) - relative_entropy(a, b)
 
 
-def donald_suite(rng, dims=(2, 3, 4), trials=200) -> float:
-    worst = 0.0
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        phi = random_state(rng, d)
-        pieces = [random_state(rng, d).scale(rng.random() + 0.1) for _ in range(3)]
-        worst = max(worst, donald_residual(pieces, phi))
-    return worst
+@_family(dims=(2, 3, 4))
+def donald_suite(rng, dims, t):
+    d = dims[t % len(dims)]
+    phi = random_state(rng, d)
+    pieces = [random_state(rng, d).scale(rng.random() + 0.1) for _ in range(3)]
+    return donald_residual(pieces, phi)
 
 
-def scaling_identity_suite(rng, dims=(2, 3, 4), trials=200) -> float:
-    worst = 0.0
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        omega, phi = random_state(rng, d), random_state(rng, d)
-        lam = 0.05 + 0.95 * rng.random()
-        lhs = relative_entropy(omega.scale(lam), phi)
-        rhs = lam * math.log(lam) + lam * relative_entropy(omega, phi)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+@_family(dims=(2, 3, 4))
+def scaling_identity_suite(rng, dims, t):
+    d = dims[t % len(dims)]
+    omega, phi = random_state(rng, d), random_state(rng, d)
+    lam = 0.05 + 0.95 * rng.random()
+    lhs = relative_entropy(omega.scale(lam), phi)
+    return abs(lhs - (lam * math.log(lam) + lam * relative_entropy(omega, phi)))
 
 
-def decomposition_gap_suite(rng, dims=(2, 3), trials=200) -> float:
+@_family(dims=(2, 3))
+def decomposition_gap_suite(rng, dims, t):
     """Average divergence of a decomposition from its sum stays below the entropy."""
-    worst = 0.0
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        phi = random_state(rng, d)
-        sqrt_rho = power_on_support(phi.density, 0.5)
-        raw = [random_density(rng, d) * (rng.random() + 0.1) for _ in range(3)]
-        total = sum(raw)
-        whiten = power_on_support(total, -0.5)
-        pieces = [
-            StateFunctional._trusted(
-                sqrt_rho @ (whiten @ a @ whiten) @ sqrt_rho, phi.algebra
-            )
-            for a in raw
-        ]
-        worst = max(worst, -decomposition_entropy_gap(pieces, phi))
-    return worst
+    d = dims[t % len(dims)]
+    phi = random_state(rng, d)
+    sqrt_rho = power_on_support(phi.density, 0.5)
+    raw = [random_density(rng, d) * (rng.random() + 0.1) for _ in range(3)]
+    whiten = power_on_support(sum(raw), -0.5)
+    pieces = [
+        StateFunctional._trusted(sqrt_rho @ (whiten @ a @ whiten) @ sqrt_rho, phi.algebra)
+        for a in raw
+    ]
+    return -decomposition_entropy_gap(pieces, phi)
 
 
-def tracial_commutant_suite(rng, dims=(2, 3, 4), trials=100) -> float:
+@_family(dims=(2, 3, 4))
+def tracial_commutant_suite(rng, dims, t):
     """For the tracial state, conditioning by a commutant operator has entropy
     tr(a ln a)/d; exact in finite dimensions."""
-    worst = 0.0
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        a = random_density(rng, d) * d  # random positive, trace d
-        psi = StateFunctional.from_density(a / d)
-        w = np.linalg.eigvalsh(a)
-        w = w[w > 1e-14]
-        expected = float(np.sum(w * np.log(w))) / d
-        got = relative_entropy(psi, StateFunctional.maximally_mixed(d))
-        worst = max(worst, abs(got - expected))
-    return worst
+    d = dims[t % len(dims)]
+    a = random_density(rng, d) * d  # random positive, trace d
+    psi = StateFunctional.from_density(a / d)
+    w = np.linalg.eigvalsh(a)
+    w = w[w > 1e-14]
+    expected = float(np.sum(w * np.log(w))) / d
+    return abs(relative_entropy(psi, StateFunctional.maximally_mixed(d)) - expected)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +215,16 @@ def _random_instance(rng, dims):
     return phi, zeta
 
 
-def direct_sum_agreement_suite(rng, dims=(2, 3, 4), trials=200) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        phi, zeta = _random_instance(rng, dims)
-        a = information(phi, zeta).total_H
-        b = information_via_direct_sum(phi, zeta)
-        worst = max(worst, abs(a - b))
-    return worst
+@_family(dims=(2, 3, 4))
+def direct_sum_agreement_suite(rng, dims, t):
+    phi, zeta = _random_instance(rng, dims)
+    return abs(information(phi, zeta).total_H - information_via_direct_sum(phi, zeta))
 
 
-def split_identity_suite(rng, dims=(2, 3, 4), trials=200) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        phi, zeta = _random_instance(rng, dims)
-        worst = max(worst, information(phi, zeta).split_residual)
-    return worst
+@_family(dims=(2, 3, 4))
+def split_identity_suite(rng, dims, t):
+    phi, zeta = _random_instance(rng, dims)
+    return information(phi, zeta).split_residual
 
 
 def _random_triple(rng, dims):
@@ -248,74 +236,60 @@ def _random_triple(rng, dims):
     return phi, zeta, eta, beta
 
 
-def _split_term_suite(rng, dims, trials, field: str) -> float:
-    """Worst excess of the joint `field` of an InformationReport over the
+def _split_term_suite(field: str):
+    """The suite bounding the joint `field` of an InformationReport by the
     first-step plus conditioned second-step values."""
-    worst = 0.0
-    for _ in range(trials):
+
+    @_family(dims=(2, 3, 4))
+    def suite(rng, dims, t):
         phi, zeta, eta, _ = _random_triple(rng, dims)
         joint = getattr(information(phi, compose(zeta, eta)), field)
         first = getattr(information(phi, zeta), field)
         second = getattr(information(zeta.total_predual(phi), eta), field)
-        worst = max(worst, joint - (first + second))
-    return worst
+        return joint - (first + second)
+
+    return suite
 
 
-def subadditivity_suite(rng, dims=(2, 3, 4), trials=200) -> float:
-    """Joint information never exceeds first-step plus conditioned second-step."""
-    return _split_term_suite(rng, dims, trials, "total_H")
+# joint information never exceeds first-step plus conditioned second-step; the
+# same holds for its Shannon part (joint weights against the product of the two
+# marginals) and for its divergence part
+subadditivity_suite = _split_term_suite("total_H")
+classical_term_suite = _split_term_suite("classical_Hc")
+quantum_term_suite = _split_term_suite("quantum_Hq")
 
 
-def conditional_monotonicity_suite(rng, dims=(2, 3, 4), trials=200) -> float:
+@_family(dims=(2, 3, 4))
+def conditional_monotonicity_suite(rng, dims, t):
     """Conditioning on a longer future never increases the conditional information."""
-    worst = 0.0
-    for _ in range(trials):
-        phi, zeta, eta, beta = _random_triple(rng, dims)
-        longer = conditional_information(phi, zeta, compose(eta, beta))
-        shorter = conditional_information(phi, zeta, eta)
-        worst = max(worst, longer - shorter)
-    return worst
+    phi, zeta, eta, beta = _random_triple(rng, dims)
+    longer = conditional_information(phi, zeta, compose(eta, beta))
+    return longer - conditional_information(phi, zeta, eta)
 
 
-def classical_term_suite(rng, dims=(2, 3, 4), trials=200) -> float:
-    """Shannon part: joint weights against the product of the two marginals."""
-    return _split_term_suite(rng, dims, trials, "classical_Hc")
-
-
-def quantum_term_suite(rng, dims=(2, 3, 4), trials=200) -> float:
-    """Divergence part: the same bound for the quantum terms."""
-    return _split_term_suite(rng, dims, trials, "quantum_Hq")
-
-
-def conjugation_invariance_suite(rng, dims=(2, 3, 4), trials=100) -> float:
+@_family(dims=(2, 3, 4))
+def conjugation_invariance_suite(rng, dims, t):
     """Information is unchanged by automorphisms fixing the state."""
-    worst = 0.0
-    for t in range(trials):
-        d = dims[t % len(dims)]
-        phi = StateFunctional.maximally_mixed(d)
-        theta = Automorphism(random_unitary(rng, d))
-        zeta = random_partition(rng, d, d, outcomes=2, kraus_per_map=2)
-        a = information(phi, zeta).total_H
-        b = information(phi, conjugate(theta, zeta)).total_H
-        worst = max(worst, abs(a - b))
-    return worst
+    d = dims[t % len(dims)]
+    phi = StateFunctional.maximally_mixed(d)
+    theta = Automorphism(random_unitary(rng, d))
+    zeta = random_partition(rng, d, d, outcomes=2, kraus_per_map=2)
+    a = information(phi, zeta).total_H
+    return abs(a - information(phi, conjugate(theta, zeta)).total_H)
 
 
-def an_certificate_suite(rng, trials=50) -> float:
+@_family()
+def an_certificate_suite(rng, dims, t):
     """Monotone, nonnegative, information-bounded conditional sequences on random
     invariant systems of dimensions 2 and 3 in turn."""
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        u = random_unitary(rng, d)
-        theta = Automorphism(u)
-        phi = random_invariant_state(rng, u)
-        zeta = random_partition(rng, d, d, outcomes=2, kraus_per_map=2)
-        seq = an_sequence(phi, theta, zeta, 5)
-        worst = max(worst, seq.monotonicity_residual)
-        worst = max(worst, max(v - seq.information_bound for v in seq.values))
-        worst = max(worst, max(-v for v in seq.values))
-    return worst
+    d = 2 + t % 2
+    u = random_unitary(rng, d)
+    theta = Automorphism(u)
+    phi = random_invariant_state(rng, u)
+    zeta = random_partition(rng, d, d, outcomes=2, kraus_per_map=2)
+    seq = an_sequence(phi, theta, zeta, 5)
+    bound = seq.information_bound
+    return (seq.monotonicity_residual, *(v - bound for v in seq.values), *(-v for v in seq.values))
 
 
 # ---------------------------------------------------------------------------
@@ -329,79 +303,56 @@ def _random_space(rng) -> FiniteSpace:
     return FiniteSpace(mu / mu.sum())
 
 
-def classical_refinement_suite(rng, trials=100) -> float:
+def _function_partitions(rng, count: int) -> list[FunctionPartition]:
+    return [random_function_partition(rng, _POINTS, cells=2) for _ in range(count)]
+
+
+@_family()
+def classical_refinement_suite(rng, dims, t):
     """Joint information of two partitions dominates each single one."""
-    worst = 0.0
-    for _ in range(trials):
-        space = _random_space(rng)
-        zeta = random_function_partition(rng, _POINTS, cells=2)
-        eta = random_function_partition(rng, _POINTS, cells=2)
-        joint = classical_information(space, compose_function_partitions(zeta, eta))
-        worst = max(worst, classical_information(space, zeta) - joint)
-    return worst
+    space = _random_space(rng)
+    zeta, eta = _function_partitions(rng, 2)
+    joint = classical_information(space, compose_function_partitions(zeta, eta))
+    return classical_information(space, zeta) - joint
 
 
-def classical_conditional_monotonicity_suite(rng, trials=100) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        space = _random_space(rng)
-        zeta = random_function_partition(rng, _POINTS, cells=2)
-        eta = random_function_partition(rng, _POINTS, cells=2)
-        beta = random_function_partition(rng, _POINTS, cells=2)
-        longer = classical_conditional(space, zeta, compose_function_partitions(eta, beta))
-        shorter = classical_conditional(space, zeta, eta)
-        worst = max(worst, longer - shorter)
-    return worst
+@_family()
+def classical_conditional_monotonicity_suite(rng, dims, t):
+    space = _random_space(rng)
+    zeta, eta, beta = _function_partitions(rng, 3)
+    longer = classical_conditional(space, zeta, compose_function_partitions(eta, beta))
+    return longer - classical_conditional(space, zeta, eta)
 
 
-def classical_transport_suite(rng, trials=100) -> float:
+@_family()
+def classical_transport_suite(rng, dims, t):
     """Conditional information is unchanged by a measure-preserving permutation."""
-    worst = 0.0
     space = FiniteSpace.uniform(_POINTS)
-    for _ in range(trials):
-        perm = rng.permutation(_POINTS)
-        zeta = random_function_partition(rng, _POINTS, cells=2)
-        beta = random_function_partition(rng, _POINTS, cells=2)
-        a = classical_conditional(space, zeta, beta)
-        b = classical_conditional(
-            space, transport_partition(zeta, perm), transport_partition(beta, perm)
-        )
-        worst = max(worst, abs(a - b))
-    return worst
+    perm = rng.permutation(_POINTS)
+    zeta, beta = _function_partitions(rng, 2)
+    moved = [transport_partition(p, perm) for p in (zeta, beta)]
+    return abs(classical_conditional(space, zeta, beta) - classical_conditional(space, *moved))
 
 
-def classical_comparison_suite(rng, trials=100) -> float:
-    worst = 0.0
-    space = FiniteSpace.uniform(_POINTS)
-    for _ in range(trials):
-        perm = rng.permutation(_POINTS)
-        zeta = random_function_partition(rng, _POINTS, cells=2)
-        eta = random_function_partition(rng, _POINTS, cells=2)
-        worst = max(worst, partition_comparison_bound(space, perm, zeta, eta, 3).residual)
-    return worst
+@_family()
+def classical_comparison_suite(rng, dims, t):
+    perm = rng.permutation(_POINTS)
+    zeta, eta = _function_partitions(rng, 2)
+    return partition_comparison_bound(FiniteSpace.uniform(_POINTS), perm, zeta, eta, 3).residual
 
 
-def embedding_agreement_suite(rng, trials=100) -> float:
+@_family()
+def embedding_agreement_suite(rng, dims, t):
     """Classical quantities equal their diagonal-embedded quantum counterparts."""
-    worst = 0.0
-    for _ in range(trials):
-        space = _random_space(rng)
-        zeta = random_function_partition(rng, _POINTS, cells=2)
-        eta = random_function_partition(rng, _POINTS, cells=2)
-        state, q_zeta = embed_diagonal(space, zeta)
-        _, q_eta = embed_diagonal(space, eta)
-        worst = max(
-            worst,
-            abs(classical_information(space, zeta) - information(state, q_zeta).total_H),
-        )
-        worst = max(
-            worst,
-            abs(
-                classical_conditional(space, zeta, eta)
-                - conditional_information(state, q_zeta, q_eta)
-            ),
-        )
-    return worst
+    space = _random_space(rng)
+    zeta, eta = _function_partitions(rng, 2)
+    state, q_zeta = embed_diagonal(space, zeta)
+    _, q_eta = embed_diagonal(space, eta)
+    quantum_conditional = conditional_information(state, q_zeta, q_eta)
+    return (
+        abs(classical_information(space, zeta) - information(state, q_zeta).total_H),
+        abs(classical_conditional(space, zeta, eta) - quantum_conditional),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +370,8 @@ class FamilyResult:
         return self.residual <= self.tolerance
 
 
-# (name, suite, tolerance, trial cap); the uncapped suites take the dims
-# argument, the capped ones draw from their own dimensions or finite spaces
+# (name, suite, tolerance, trial cap); the capped suites and the finite-space
+# ones draw from their own dimensions and ignore dims
 _SUITES = (
     ("lower_bound", lower_bound_suite, 1e-8, None),
     ("joint_convexity", joint_convexity_suite, 1e-8, None),
@@ -452,9 +403,7 @@ def run_property_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> dict
         raise ValidationFailure("the property suite needs at least one dimension")
     results = {}
     for name, fn, tol, cap in _SUITES:
-        rng = np.random.default_rng(seed)
-        kwargs = {"trials": trials, "dims": dims} if cap is None else {"trials": min(trials, cap)}
-        results[name] = FamilyResult(
-            residual=float(fn(rng, **kwargs)), tolerance=tol, trials=kwargs["trials"]
-        )
+        count = trials if cap is None else min(trials, cap)
+        residual = float(fn(np.random.default_rng(seed), dims, count))
+        results[name] = FamilyResult(residual=residual, tolerance=tol, trials=count)
     return results

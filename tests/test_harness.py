@@ -500,6 +500,29 @@ def test_verify_passes_dims_to_the_classical_term_suite(monkeypatch):
     assert results["classical_term"].trials == 3
 
 
+def test_a_nan_trial_residual_fails_its_family_and_the_verify_record(monkeypatch):
+    import qde.properties
+
+    real = qde.properties.relative_entropy
+    calls = []
+
+    def nan_on_the_first_call(a, b):
+        calls.append(None)
+        return math.nan if len(calls) == 1 else real(a, b)
+
+    monkeypatch.setattr(qde.properties, "relative_entropy", nan_on_the_first_call)
+    record = run_task(parse_spec(json.dumps(
+        {"schema_version": "1", "task": "verify", "params": {"dims": [2], "trials": 3}}
+    )))
+    # the first call belongs to the first trial of the first family
+    family = record.results["families"]["lower_bound"]
+    assert family["residual"] == math.inf and not family["passed"]
+    assert record.results["max_residual"] == math.inf
+    assert not record.results["all_passed"]
+    assert record.has_violation
+    assert json.loads(record.to_json())["results"]["max_residual"] == "inf"
+
+
 def test_property_suite_without_dimensions_fails_closed():
     from qde.errors import ValidationFailure
     from qde.properties import run_property_suite
@@ -630,6 +653,21 @@ def _unitary_spec(unitary):
     return raw
 
 
+def _task_spec(task, **body):
+    return {"schema_version": "1", "task": task, **body}
+
+
+def _misspelled_dynent():
+    """A dynent spec with a misspelled depth, a capacity knob and a misspelled key beside
+    its partitions: each one is a key the task does not read."""
+    raw = _dynent_params(depth=3, restarts=7)
+    raw["partitons"] = raw["partitions"]
+    return raw
+
+
+_Z_MAPS = [[cm(np.diag([1.0, 0.0]))], [cm(np.diag([0.0, 1.0]))]]
+
+
 @pytest.mark.parametrize(
     "raw, path",
     [
@@ -638,12 +676,44 @@ def _unitary_spec(unitary):
         (_unitary_spec(np.eye(3)), "unitary"),  # square, but the partitions act on C^2
         (sweep_spec([]), "params.partitions"),
         ({"schema_version": "1", "task": "verify", "params": {"dims": []}}, "params.dims"),
+        (_misspelled_dynent(), "params.depth"),
+        (dict(info_spec(), unitary=cm(np.eye(2))), "unitary"),
+        (dict(info_spec(), algebra={"blocks": [2], "sizes": [2]}), "algebra.sizes"),
+        (
+            _task_spec("capacity", channel={"kind": "dephasing", "p": 0.1, "dim": 2},
+                       state=cm(np.eye(2) / 2)),
+            "channel.dim",
+        ),
+        (_task_spec("capacity", channel={"kind": "erasure", "p": 0.1}), "channel.kind"),
+        ('{"schema_version": "1", "task": "info",', "$"),
+        (dict(info_spec(), partitions={"z": {}}), "partitions.z"),
+        (dict(info_spec(), partitions={"z": {"maps": [{"label": "up"}, {"kraus": _Z_MAPS[1]}]}}),
+         "partitions.z.maps[0]"),
+        (dict(info_spec(), partitions={"z": {"maps": [{"kraus": m, "weight": 1} for m in _Z_MAPS]}}),
+         "partitions.z.maps[0].weight"),
+        ({k: v for k, v in info_spec().items() if k != "state"}, "state"),
+        ({k: v for k, v in _dynent_params(N=2).items() if k != "state"}, "state"),
+        (_task_spec("capacity", channel={"kind": "dephasing", "p": 0.1}), "state"),
+        (_task_spec("classical"), "classical"),
+        (_task_spec("classical", classical=[[0.9, 0.1], [0.1, 0.9]]), "classical"),
+        (_task_spec("classical", classical={"measure": [0.5, 0.5]}), "classical"),
+        (_task_spec("classical", classical=dict(PERMUTATION_SYSTEM, permutation=1)),
+         "classical.permutation"),
+        (_task_spec("classical", classical=dict(PERMUTATION_SYSTEM, period=4)), "classical.period"),
     ],
-    ids=["unitary-2x3", "unitary-3x2", "unitary-3x3-on-2x2", "empty-partitions", "empty-dims"],
+    ids=[
+        "unitary-2x3", "unitary-3x2", "unitary-3x3-on-2x2", "empty-partitions", "empty-dims",
+        "misspelled-params-key", "key-of-another-task", "unknown-algebra-key",
+        "channel-key-of-another-kind", "unknown-channel-kind", "invalid-json",
+        "partition-without-maps", "map-without-kraus", "unknown-map-key", "info-without-state",
+        "dynent-without-state", "dephasing-without-state", "missing-classical",
+        "non-object-classical", "classical-without-work", "non-list-permutation",
+        "unknown-classical-key",
+    ],
 )
 def test_cli_bad_unitary_and_empty_lists_exit_2_at_their_path(tmp_path, capsys, raw, path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(raw))
+    spec_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     code, captured = _cli_in_process(["run", str(spec_path)], capsys)
     assert code == 2
     assert captured.err.startswith(f"error: {path}:")
