@@ -79,7 +79,7 @@ def _clamp_ascending(w: np.ndarray, tol: float = defaults.NEGATIVE_EIGENVALUE_TO
 
     The smallest eigenvalues are the first entries, so only those are reduced.
     """
-    low = w[..., 0].min()
+    low = np.minimum.reduce(w[..., 0], axis=None)
     if low < -tol:
         raise NotPositiveSemidefinite(f"eigenvalue {low:.3e} below -{tol:.1e}")
     return np.maximum(w[..., ::-1], 0.0)

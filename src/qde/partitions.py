@@ -61,23 +61,25 @@ class KrausMap:
     positive contraction; it is a real diagonal matrix when every Kraus
     element is exactly diagonal.  The maps that `compose` and
     `embed_diagonal` build from exactly diagonal factors hold only their
-    (count, d) diagonals; their dense `kraus`, and the `unit_image` of every
-    exactly diagonal map, are built on first read, once.
+    (count, d) diagonals; their dense stack, the `unit_image` of every
+    exactly diagonal map, and the `kraus` tuple of read-only views of the
+    stack of every map, are built on first read, once.
     """
 
     kraus: tuple[np.ndarray, ...]
     label: object = None
 
     def __post_init__(self):
-        if type(self.kraus) is _Diagonals:
-            diagonals, stack = self.kraus.rows, None
-            del vars(self)["kraus"]
+        # the caller's family is not kept: `kraus` is read back as views of the read-only stack
+        kraus = vars(self).pop("kraus")
+        if type(kraus) is _Diagonals:
+            diagonals, stack = kraus.rows, None
         else:
-            if len(self.kraus) == 0:
+            if len(kraus) == 0:
                 raise ValidationFailure("empty Kraus family")
-            # one read-only (count, dim_out, dim_in) stack; the stored elements are views of it
+            # one read-only (count, dim_out, dim_in) stack
             try:
-                stack = np.array(self.kraus, dtype=complex, order="C")
+                stack = np.array(kraus, dtype=complex, order="C")
             except ValueError as exc:
                 raise DimensionMismatch(f"Kraus elements of mixed shapes or types: {exc}") from None
             if stack.ndim != 3 or 0 in stack.shape:
@@ -97,7 +99,7 @@ class KrausMap:
             own["_shape"] = (count, d, d)
         else:
             stack.setflags(write=False)
-            own.update(kraus=tuple(stack), _stack=stack, _shape=stack.shape)
+            own.update(_stack=stack, _shape=stack.shape)
         if diagonals is None:
             unit.setflags(write=False)
             own["unit_image"] = unit
@@ -330,13 +332,16 @@ def kraus_from_choi(chois, dim_in: int, dim_out: int, labels) -> tuple[KrausMap,
         raise ValidationFailure(f"Choi matrix is not hermitian: max asymmetry {dev:.3e}")
     w, v = _eigh(0.5 * (chois + flipped))
     w = _clamp_ascending(w, tol=1e-8)  # descending
-    keep = w > 1e-14 * np.maximum(w[:, :1], 1.0)
-    stacks = []
-    for w_t, v_t, keep_t in zip(w, v, keep):
-        # column c is vec(K_c^T); a zero Choi matrix gives one zero element
-        cols = v_t[:, ::-1][:, keep_t] * np.sqrt(w_t[keep_t])
-        cols = cols if keep_t.any() else np.zeros((n, 1), complex)
-        stacks.append(np.ascontiguousarray(cols.T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)))
+    # the kept eigenvalues of each map are a prefix of its descending spectrum
+    counts = np.count_nonzero(w > 1e-14 * np.maximum(w[:, :1], 1.0), axis=1)
+    width = max(1, int(counts.max()))
+    # column c is vec(K_c^T): one slice, scaling and copy cuts every map's elements
+    cols = v[:, :, : -width - 1 : -1] * np.sqrt(w[:, None, :width])
+    elements = np.ascontiguousarray(
+        cols.transpose(0, 2, 1).reshape(len(w), width, dim_in, dim_out).transpose(0, 1, 3, 2)
+    )
+    elements[counts == 0] = 0.0  # a zero Choi matrix gives one zero element
+    stacks = [elements[t, : max(1, c)] for t, c in enumerate(counts.tolist())]
     return tuple(KrausMap._stacked(stacks, labels))
 
 

@@ -63,8 +63,17 @@ def random_partition(
     outcomes: int = 2,
     kraus_per_map: int = 2,
 ) -> Partition:
-    """Random completely positive partition of unity via right-normalization."""
+    """Random completely positive partition of unity via right-normalization.
+
+    The drawn elements must span the input space, so `outcomes *
+    kraus_per_map * dim_out` must reach `dim_in`.
+    """
     dim_out = dim_out or dim_in
+    if outcomes * kraus_per_map * dim_out < dim_in:
+        raise ValidationFailure(
+            f"{outcomes} outcomes x {kraus_per_map} Kraus elements of {dim_out} rows "
+            f"cannot span an input of dimension {dim_in}"
+        )
     raw = [
         [rng.normal(size=(dim_out, dim_in)) + 1j * rng.normal(size=(dim_out, dim_in))
          for _ in range(kraus_per_map)]
@@ -152,7 +161,8 @@ def monotonicity_suite(rng, dims, t):
     """Relative entropy contracts under precomposition with unital CP maps."""
     d_in = dims[t % len(dims)]
     d_out = dims[(t + 1) % len(dims)]
-    tau = random_partition(rng, d_in, d_out, outcomes=1, kraus_per_map=3).maps[0]
+    kraus = max(3, math.ceil(d_in / d_out))  # enough elements to span the input
+    tau = random_partition(rng, d_in, d_out, outcomes=1, kraus_per_map=kraus).maps[0]
     a, b = random_state(rng, d_in), random_state(rng, d_in)
     return relative_entropy(predual_apply(tau, a), predual_apply(tau, b)) - relative_entropy(a, b)
 
@@ -230,9 +240,11 @@ def split_identity_suite(rng, dims, t):
 def _random_triple(rng, dims):
     d_a, d_b, d_c, d_d = (dims[int(rng.integers(len(dims)))] for _ in range(4))
     phi = random_state(rng, d_a)
-    zeta = random_partition(rng, d_a, d_b, outcomes=2, kraus_per_map=1)
-    eta = random_partition(rng, d_b, d_c, outcomes=2, kraus_per_map=1)
-    beta = random_partition(rng, d_c, d_d, outcomes=2, kraus_per_map=1)
+    # two outcomes of ceil(d_in / (2 d_out)) elements each span the input
+    zeta, eta, beta = (
+        random_partition(rng, d_in, d_out, outcomes=2, kraus_per_map=math.ceil(d_in / (2 * d_out)))
+        for d_in, d_out in ((d_a, d_b), (d_b, d_c), (d_c, d_d))
+    )
     return phi, zeta, eta, beta
 
 

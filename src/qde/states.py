@@ -132,7 +132,7 @@ class StateFunctional:
 
     @lazy_attribute
     def weight(self) -> float:
-        return float(self._entries().sum().real)
+        return float(np.add.reduce(self._entries()).real)
 
     def require_normalized(self) -> None:
         if not abs(self.weight - 1.0) <= 1e-8:  # a NaN weight fails too
@@ -228,6 +228,14 @@ class DivergenceEngine:
     argument mass outside it beyond the leak tolerance makes the value +inf.
     A functional on an all-1-block algebra is diagonal: its spectrum is its
     diagonal and the identity is its eigenbasis, so it needs no eigensolve.
+
+    A dense reference also holds two flat operators, built once: `log sigma`
+    on its support and, when it drops eigenvalues, the projector off that
+    support.  An argument whose spectrum has no negative entry then gives the
+    cross term tr(rho log sigma) and the off-support mass as one `vdot` each.
+    An argument with an eigenvalue in the NEGATIVE_EIGENVALUE_TOL slack has no
+    PSD density to read them from; it is taken to the reference eigenbasis,
+    diag(V^dag rho V), whose entries are clamped at 0 before they are summed.
     """
 
     def __init__(self, phi: StateFunctional):
@@ -244,11 +252,16 @@ class DivergenceEngine:
             q = clamp_psd_spectrum(q)
             top = q[0]
             self._basis = v
-            self._basis_conj = v.conj()
         self._keep = q > defaults.SUPPORT_CUTOFF * top
         self._drop = None if self._keep.all() else ~self._keep
         self._log_q = np.log(q[self._keep])
         self.smallest_retained = float(q[self._keep].min())
+        if self._basis is not None:
+            kept = v[:, self._keep]
+            self._log = (kept * self._log_q) @ dagger(kept)
+            if self._drop is not None:
+                dropped = v[:, self._drop]
+                self._off = dropped @ dagger(dropped)
 
     def report(self, omega: StateFunctional) -> DivergenceReport:
         if omega.dim != self.phi.dim:
@@ -260,31 +273,42 @@ class DivergenceEngine:
             return DivergenceReport(math.inf, weight, 0.0, 0.0)
         commutative = omega.algebra.is_commutative
         if commutative:
-            p = clamp_psd_spectrum(omega._entries().real)
+            spectrum = omega._entries().real
+            p = clamp_psd_spectrum(spectrum)
             top = float(p.max())
         else:
-            p = _clamp_ascending(np.linalg.eigvalsh(omega.density))
+            spectrum = np.linalg.eigvalsh(omega.density)  # ascending
+            p = _clamp_ascending(spectrum)
             top = float(p[0])
         kept_p = p[p > defaults.SUPPORT_CUTOFF * top]
         # a descending dense spectrum keeps a prefix, whose last entry is its smallest
         smallest_p = float(kept_p.min() if commutative else kept_p[-1]) if kept_p.size else 0.0
 
-        # the argument in the eigenbasis of the reference, Re diag(V^dag rho V):
-        # one GEMM for rho V, then a column-wise product-sum with conj(V);
-        # a diagonal reference has V = I
         if self._basis is None:
+            # a diagonal reference has V = I: the argument's diagonal is diag(V^dag rho V)
             m = np.maximum(omega._entries().real, 0.0)
+        elif (np.minimum.reduce(spectrum) if commutative else spectrum[0]) >= 0.0:
+            m = None  # a PSD argument: both traces are read from its density
         else:
-            rho = omega.density
-            m = np.maximum((self._basis_conj * (rho @ self._basis)).sum(axis=0).real, 0.0)
+            # one GEMM for rho V, then a column-wise product-sum with conj(V)
+            v = self._basis
+            m = np.maximum((v.conj() * (omega.density @ v)).sum(axis=0).real, 0.0)
         # a reference that keeps its whole spectrum leaves no mass off its support
-        off_mass = 0.0 if self._drop is None else float(m[self._drop].sum())
+        if self._drop is None:
+            off_mass = 0.0
+        elif m is None:
+            off_mass = max(float(np.vdot(self._off, omega.density).real), 0.0)
+        else:
+            off_mass = float(m[self._drop].sum())
         leak_tol = 16.0 * omega.dim * defaults.SUPPORT_CUTOFF * max(1.0, top)
         if off_mass > leak_tol:
             return DivergenceReport(math.inf, off_mass, self.smallest_retained, smallest_p)
 
-        term_self = float((kept_p * np.log(kept_p)).sum())
-        term_cross = float(np.dot(m[self._keep], self._log_q))
+        term_self = float(np.add.reduce(kept_p * np.log(kept_p)))
+        if m is None:  # tr(rho log sigma) = vdot(log sigma, rho), log sigma being hermitian
+            term_cross = float(np.vdot(self._log, omega.density).real)
+        else:
+            term_cross = float(np.dot(m[self._keep], self._log_q))
         return DivergenceReport(
             term_self - term_cross, off_mass, self.smallest_retained, smallest_p
         )

@@ -285,6 +285,17 @@ def test_cli_verify_small(capsys):
     assert "all_passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--dims", "2,7", "--trials", "3"], ["--dims", "2,3,4,5", "--trials", "60", "--seed", "7"]],
+)
+def test_cli_verify_draws_partitions_that_span_inputs_wider_than_twice_an_output(args, capsys):
+    # an input more than twice (three times for monotonicity) the output takes
+    # more Kraus elements per outcome, so every drawn partition sums to the identity
+    assert main(["verify", *args]) == 0
+    assert "all_passed" in capsys.readouterr().out
+
+
 def test_cli_capacity(tmp_path):
     raw = {
         "schema_version": "1",

@@ -139,6 +139,51 @@ def test_dense_report_rejects_a_spectrum_past_the_clamp(rng, reference, argument
         engine.report(_rotated(u, perturbed))
 
 
+def _eigenbasis_report(rho, sigma):
+    """(value, off-support mass) of the eigenbasis formula
+    sum p ln p - sum max(m, 0) ln q, with m = diag(V^dag rho V) in sigma's eigenbasis V."""
+    p = np.linalg.eigvalsh(rho)
+    p = p[p > defaults.SUPPORT_CUTOFF * p.max()]
+    q, v = np.linalg.eigh(sigma)
+    q = np.maximum(q, 0.0)
+    keep = q > defaults.SUPPORT_CUTOFF * q.max()
+    m = np.maximum(np.einsum("ki,kl,li->i", v.conj(), rho, v).real, 0.0)
+    off = float(m[~keep].sum())
+    if off > 16 * len(rho) * defaults.SUPPORT_CUTOFF * max(1.0, p.max()):
+        return math.inf, off
+    return float(np.sum(p * np.log(p)) - np.sum(m[keep] * np.log(q[keep]))), off
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+@pytest.mark.parametrize("drops", [False, True])
+def test_dense_report_of_a_psd_argument_meets_the_eigenbasis_formula(rng, d, drops):
+    """The cross term and the off-support mass of an argument with no negative
+    eigenvalue are read from its density (one vdot each); both, and the +inf
+    decision, must equal the eigenbasis formula."""
+    u = random_unitary(rng, d)
+    reference = rng.random(d) + 0.05
+    if drops:
+        reference[-1] = 0.0  # the reference keeps d - 1 eigenvalues
+    sigma = (u * (reference / reference.sum())) @ dag(u)
+    engine = DivergenceEngine(StateFunctional.from_density(sigma))
+    inside = rng.random(d) + 0.05
+    if drops:
+        inside[-1] = 1e-14  # full rank, with mass below the leak tolerance off the support
+    arguments = [
+        ((u * (0.7 * inside / inside.sum())) @ dag(u), True),
+        (random_density(rng, d, weight=0.3), not drops),
+    ]
+    for rho, finite in arguments:
+        rho = 0.5 * (rho + dag(rho))
+        assert np.linalg.eigvalsh(rho)[0] >= 0.0  # no clamp: the vdot route
+        value, off = _eigenbasis_report(rho, sigma)
+        report = engine.report(StateFunctional.from_density(rho))
+        assert report.finite == math.isfinite(value) == finite
+        if finite:
+            assert report.value == pytest.approx(value, abs=1e-13)
+        assert report.off_support_mass == pytest.approx(off, abs=1e-13)
+
+
 # --- Kraus layer -----------------------------------------------------------------
 
 

@@ -124,6 +124,14 @@ def test_compose_action_matches_heisenberg(rng):
             assert np.linalg.norm(comp.apply(x) - mi.apply(mj.apply(x))) < 1e-10
 
 
+def test_random_partition_fails_closed_on_elements_that_cannot_span_the_input(rng):
+    # 2 outcomes x 1 element of 3 rows span at most 6 of 7 input dimensions
+    with pytest.raises(ValidationFailure, match="2 outcomes x 1 Kraus elements of 3 rows.*dimension 7"):
+        random_partition(rng, 7, 3, outcomes=2, kraus_per_map=1)
+    # one more element per outcome reaches the input: the draw is a partition
+    assert random_partition(rng, 7, 3, outcomes=2, kraus_per_map=2).unit_sum_residual < 1e-10
+
+
 def test_compose_associative_up_to_labels(rng):
     a = random_partition(rng, 2, 3, outcomes=2)
     b = random_partition(rng, 3, 2, outcomes=2)
