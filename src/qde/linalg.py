@@ -40,8 +40,8 @@ def assert_finite(a: np.ndarray, what: str = "matrix") -> None:
 def as_hermitian(a: np.ndarray, tol: float = defaults.HERMITICITY_TOL) -> np.ndarray:
     """Validate hermiticity within `tol` and return the symmetrized matrix."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     assert_finite(a)
     dev = np.abs(a - dagger(a)).max()
     if dev > tol:

@@ -316,12 +316,50 @@ def choi_matrix(zeta_i: KrausMap) -> np.ndarray:
     return 0.5 * (j + dagger(j))
 
 
+def _certified_cholesky(chois: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors L (J = L L^dag) of a hermitian (m, n, n) stack, and the
+    mask of the matrices whose factor certifies full rank.
+
+    1 / ||L^-1||_F^2 is a lower bound on lambda_min(J); a factor is certified
+    when that bound exceeds 1e-12 max(tr J, 1), 100 times the margin by which
+    the eigh keep rule of `kraus_from_choi` would keep all n eigenvalues.  A
+    stack that Cholesky rejects is retried one matrix at a time, so each
+    factor and decision depends on its own matrix only.
+    """
+    try:
+        low = np.linalg.cholesky(chois)
+        inv = np.linalg.inv(low)
+    except np.linalg.LinAlgError:
+        if len(chois) == 1:
+            return chois, np.zeros(1, dtype=bool)  # no factor: the eigh route
+        parts = [_certified_cholesky(j[None]) for j in chois]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    with np.errstate(over="ignore"):  # an overflowing inverse certifies nothing
+        norms = np.add.reduce(inv.real**2 + inv.imag**2, axis=(1, 2))
+    traces = np.trace(chois, axis1=1, axis2=2).real
+    return low, 1.0 / norms > 1e-12 * np.maximum(traces, 1.0)
+
+
+def _kraus_stacks(cols: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """(m, width, dim_out, dim_in) C-ordered Kraus stacks whose element c is
+    given by column c of (m, n, width) `cols` as vec(K_c^T)."""
+    m, _, width = cols.shape
+    return np.ascontiguousarray(
+        cols.transpose(0, 2, 1).reshape(m, width, dim_in, dim_out).transpose(0, 1, 3, 2)
+    )
+
+
 def kraus_from_choi(chois, dim_in: int, dim_out: int, labels) -> tuple[KrausMap, ...]:
     """Minimal Kraus families (at most dim_in * dim_out elements) of an (m, n, n) Choi stack.
 
-    n must be dim_in * dim_out; `labels` holds the m labels of the maps.
+    n must be dim_in * dim_out; `labels` holds the m labels of the maps.  A
+    Choi matrix certified full rank by `_certified_cholesky` gives the n
+    columns of its Cholesky factor; any other takes the eigh route, which
+    clamps the spectrum and keeps the eigenvalues above 1e-14 max(w_0, 1).
     """
     chois = np.asarray(chois, dtype=complex)
+    if min(dim_in, dim_out) < 1:
+        raise DimensionMismatch(f"Choi dimensions must be positive, got {dim_in} and {dim_out}")
     n = dim_in * dim_out
     if chois.ndim != 3 or not 0 < len(chois) == len(labels) or chois.shape[1:] != (n, n):
         raise DimensionMismatch(f"{len(labels)} labels for shape {chois.shape}, need (m, {n}, {n})")
@@ -330,18 +368,26 @@ def kraus_from_choi(chois, dim_in: int, dim_out: int, labels) -> tuple[KrausMap,
     dev = np.abs(chois - flipped).max()
     if dev > defaults.HERMITICITY_TOL:
         raise ValidationFailure(f"Choi matrix is not hermitian: max asymmetry {dev:.3e}")
-    w, v = _eigh(0.5 * (chois + flipped))
-    w = _clamp_ascending(w, tol=1e-8)  # descending
-    # the kept eigenvalues of each map are a prefix of its descending spectrum
-    counts = np.count_nonzero(w > 1e-14 * np.maximum(w[:, :1], 1.0), axis=1)
-    width = max(1, int(counts.max()))
-    # column c is vec(K_c^T): one slice, scaling and copy cuts every map's elements
-    cols = v[:, :, : -width - 1 : -1] * np.sqrt(w[:, None, :width])
-    elements = np.ascontiguousarray(
-        cols.transpose(0, 2, 1).reshape(len(w), width, dim_in, dim_out).transpose(0, 1, 3, 2)
-    )
-    elements[counts == 0] = 0.0  # a zero Choi matrix gives one zero element
-    stacks = [elements[t, : max(1, c)] for t, c in enumerate(counts.tolist())]
+    sym = 0.5 * (chois + flipped)
+    low, certified = _certified_cholesky(sym)
+    stacks = [None] * len(sym)
+    chosen = np.flatnonzero(certified)
+    # column c of L is vec(K_c^T): all n elements, as eigh would keep
+    for t, stack in zip(chosen.tolist(), _kraus_stacks(low[chosen], dim_in, dim_out)):
+        stacks[t] = stack
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        w, v = _eigh(sym[rest])
+        w = _clamp_ascending(w, tol=1e-8)  # descending
+        # the kept eigenvalues of each map are a prefix of its descending spectrum
+        counts = np.count_nonzero(w > 1e-14 * np.maximum(w[:, :1], 1.0), axis=1)
+        width = max(1, int(counts.max()))
+        # one slice, scaling and copy cuts every map's elements
+        cols = v[:, :, : -width - 1 : -1] * np.sqrt(w[:, None, :width])
+        elements = _kraus_stacks(cols, dim_in, dim_out)
+        elements[counts == 0] = 0.0  # a zero Choi matrix gives one zero element
+        for t, stack, c in zip(rest.tolist(), elements, counts.tolist()):
+            stacks[t] = stack[: max(1, c)]
     return tuple(KrausMap._stacked(stacks, labels))
 
 
@@ -439,7 +485,7 @@ def compose(zeta: Partition, eta: Partition) -> Partition:
     zeta_i then eta_j to states.  Each composite map is built once: one by
     one, from the product of their diagonals, for two exactly diagonal maps
     that need no compression, else in batches of equal Kraus counts (one
-    broadcast product, Choi eigh and eigvalsh each).
+    broadcast product, Choi compression and eigvalsh each).
     """
     if eta.dim_in != zeta.dim_out:
         raise DimensionMismatch(
@@ -495,10 +541,12 @@ class Automorphism:
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise DimensionMismatch(f"a unitary must be a square matrix, got shape {u.shape}")
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+            raise DimensionMismatch(
+                f"a unitary must be a nonempty square matrix, got shape {u.shape}"
+            )
         dev = frobenius(dagger(u) @ u - np.eye(u.shape[0]))
-        if dev > defaults.UNITARITY_TOL * u.shape[0]:
+        if not dev <= defaults.UNITARITY_TOL * u.shape[0]:  # a NaN residual fails too
             raise ValidationFailure(f"matrix is not unitary: residual {dev:.3e}")
         u = u.copy()
         u.setflags(write=False)

@@ -128,6 +128,8 @@ class StateFunctional:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "StateFunctional":
+        if dim < 1:
+            raise DimensionMismatch(f"a state needs dimension >= 1, got {dim}")
         return cls.from_density(np.eye(dim, dtype=complex) / dim)
 
     @lazy_attribute

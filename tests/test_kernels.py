@@ -360,8 +360,9 @@ def _reference_composite(first, second):
 
     Products L @ K (diagonals multiplied elementwise when both factors are
     exactly diagonal and the pair needs no compression); past dim_in * dim_out
-    of them, the Choi matrix, its eigh, the clamp and the keep rule of the
-    minimal family.
+    of them, the Choi matrix J and its Cholesky factor L, whose columns are
+    the elements when 1 / ||L^-1||_F^2 > 1e-12 max(tr J, 1) certifies full
+    rank; else its eigh, the clamp and the keep rule of the minimal family.
     """
     d_in, d_out = first.dim_in, second.dim_out
     ks, ls = first._stack, second._stack
@@ -373,15 +374,24 @@ def _reference_composite(first, second):
     if len(stack) > d_in * d_out:
         vecs = stack.transpose(0, 2, 1).reshape(len(stack), -1)
         choi = vecs.T @ vecs.conj()
-        w, v = np.linalg.eigh(0.5 * (choi + dag(choi)))
-        assert w[0] >= -1e-8
-        w = np.maximum(w[::-1], 0.0)
-        keep = w > 1e-14 * max(w[0], 1.0)
-        if keep.any():
-            cols = v[:, ::-1][:, keep] * np.sqrt(w[keep])
-            stack = cols.T.reshape(-1, d_in, d_out).transpose(0, 2, 1)
+        choi = 0.5 * (choi + dag(choi))
+        try:
+            low = np.linalg.cholesky(choi)
+            bound = 1.0 / np.linalg.norm(np.linalg.inv(low)) ** 2
+        except np.linalg.LinAlgError:
+            bound = 0.0
+        if bound > 1e-12 * max(np.trace(choi).real, 1.0):
+            stack = low.T.reshape(-1, d_in, d_out).transpose(0, 2, 1)
         else:
-            stack = np.zeros((1, d_out, d_in), dtype=complex)
+            w, v = np.linalg.eigh(choi)
+            assert w[0] >= -1e-8
+            w = np.maximum(w[::-1], 0.0)
+            keep = w > 1e-14 * max(w[0], 1.0)
+            if keep.any():
+                cols = v[:, ::-1][:, keep] * np.sqrt(w[keep])
+                stack = cols.T.reshape(-1, d_in, d_out).transpose(0, 2, 1)
+            else:
+                stack = np.zeros((1, d_out, d_in), dtype=complex)
     diag = np.diagonal(stack, axis1=1, axis2=2)
     if d_in == d_out and np.count_nonzero(stack) == np.count_nonzero(diag):
         return stack, np.diag((diag.real**2 + diag.imag**2).sum(axis=0))
@@ -504,6 +514,56 @@ def test_kraus_from_choi_checks_the_choi_size():
         kraus_from_choi(0.1 * np.eye(4)[None], 2, 2, ["a", "b"])
     (m,) = kraus_from_choi(0.1 * np.eye(6)[None], 2, 3, ["a"])
     assert m.label == "a" and m.dim_in == 2 and m.dim_out == 3
+
+
+def test_kraus_from_choi_rejects_empty_and_negative_dimensions():
+    with pytest.raises(DimensionMismatch, match="positive"):
+        kraus_from_choi(np.zeros((1, 0, 0)), 0, 0, [0])
+    with pytest.raises(DimensionMismatch, match="positive"):
+        kraus_from_choi(np.zeros((1, 0, 0)), 0, 3, [0])
+    with pytest.raises(DimensionMismatch, match="positive"):
+        kraus_from_choi(0.1 * np.eye(2)[None], -1, -2, [0])
+
+
+def _choi_of_spectrum(rng, spectrum):
+    """V diag(spectrum) V^dag for a random unitary V."""
+    v = random_unitary(rng, len(spectrum))
+    return (v * np.asarray(spectrum)) @ dag(v)
+
+
+def test_kraus_from_choi_routes_each_matrix_on_its_own(rng, monkeypatch):
+    """Full-rank members take their Cholesky columns; the rest take eigh and its keep rule."""
+    d_in, d_out = 2, 3
+    n = d_in * d_out
+    full = [_choi_of_spectrum(rng, rng.uniform(0.05, 0.15, n)) for _ in range(2)]
+    members = [
+        full[0],
+        _choi_of_spectrum(rng, [0.3, 0.2] + [0.0] * (n - 2)),  # rank 2
+        np.zeros((n, n), dtype=complex),
+        full[1],
+        _choi_of_spectrum(rng, [0.1] * (n - 1) + [1e-13]),  # uncertified, keeps n
+        _choi_of_spectrum(rng, [0.1] * (n - 1) + [5e-15]),  # drops an element
+        np.diag([0.1] * (n - 1) + [1e-310]),  # Cholesky passes, its inverse overflows
+        full[0].copy(),
+    ]
+    stack = np.array([0.5 * (j + dag(j)) for j in members])
+    routed = []
+    eigh = partitions._eigh
+    monkeypatch.setattr(partitions, "_eigh", lambda a: routed.append(len(a)) or eigh(a))
+    maps = kraus_from_choi(stack, d_in, d_out, list(range(len(stack))))
+    assert routed == [5]  # the rank-deficient, zero, 1e-13, 5e-15 and 1e-310 members
+    counts = []
+    for t, (m, choi) in enumerate(zip(maps, stack)):
+        (solo,) = kraus_from_choi(stack[t : t + 1], d_in, d_out, [t])
+        assert np.array_equal(m._stack, solo._stack) and m.label == t
+        w = np.maximum(np.linalg.eigvalsh(choi)[::-1], 0.0)
+        assert len(m.kraus) == max(1, np.count_nonzero(w > 1e-14 * max(w[0], 1.0)))
+        assert np.linalg.norm(choi_matrix(m) - choi) <= 1e-12 * np.linalg.norm(choi)
+        counts.append(len(m.kraus))
+    assert counts == [n, 2, 1, n, n, n - 1, n - 1, n]
+    for t in (0, 3, 7):
+        low = np.linalg.cholesky(stack[t])
+        assert np.array_equal(maps[t]._stack, low.T.reshape(n, d_in, d_out).transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -666,6 +726,30 @@ def test_diagonal_held_maps_fail_closed():
     for flat in (np.eye(2), np.diag([1.0, 0.5])):
         with pytest.raises(DimensionMismatch):
             KrausMap(flat)
+
+
+def test_a_weight_just_past_one_fails_on_every_construction_path(rng):
+    """A unit image with top eigenvalue 1 + 2e-9 (past SUB_UNITALITY_TOL = 1e-9) fails
+    however the map is built; the same families at weight 1 pass."""
+    u = random_unitary(rng, 2)
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    full = 0.5 * paulis @ u  # sum K^dag K = I with a full-rank Choi matrix
+    choi_full, choi_one = partitions._choi(full[None]), partitions._choi(u[None, None])
+    assert partitions._certified_cholesky(choi_full)[1].all()
+    assert not partitions._certified_cholesky(choi_one)[1].any()
+    builds = {
+        "dense": lambda w: [KrausMap((math.sqrt(w) * u,))],
+        "diagonal": lambda w: [KrausMap((np.diag([math.sqrt(w), 0.5]),))],
+        "stacked": lambda w: KrausMap._stacked([math.sqrt(w) * full], ["a"]),
+        "choi, full rank": lambda w: kraus_from_choi(w * choi_full, 2, 2, ["a"]),
+        "choi, rank one": lambda w: kraus_from_choi(w * choi_one, 2, 2, ["a"]),
+    }
+    for path, build in builds.items():
+        (m,) = build(1.0)
+        assert abs(np.linalg.eigvalsh(m.unit_image)[-1] - 1.0) < 1e-14, path
+        with pytest.raises(ValidationFailure, match="not sub-unital"):
+            build(1.0 + 2 * defaults.SUB_UNITALITY_TOL)
+    assert KrausMap((np.diag([1.0, 0.5]),))._diagonals is not None
 
 
 def test_composing_the_largest_markov_window_keeps_no_dense_stacks():

@@ -372,3 +372,10 @@ def test_automorphism_rejects_nonunitary():
 def test_automorphism_rejects_a_non_square_unitary(shape):
     with pytest.raises(DimensionMismatch, match="square"):
         Automorphism(np.ones(shape, dtype=complex) / 2)
+
+
+def test_automorphism_rejects_a_nan_or_empty_matrix():
+    with pytest.raises(ValidationFailure, match="not unitary"):
+        Automorphism(np.full((2, 2), np.nan))
+    with pytest.raises(DimensionMismatch, match="nonempty"):
+        Automorphism(np.zeros((0, 0)))

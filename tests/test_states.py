@@ -95,6 +95,14 @@ def test_relative_entropy_matches_oracle(rng):
         assert relative_entropy(a, b) == pytest.approx(oracle_rel_entropy(rho, sig), abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_maximally_mixed_rejects_a_dimension_below_one(dim):
+    with pytest.raises(DimensionMismatch):
+        StateFunctional.maximally_mixed(dim)
+    with pytest.raises(DimensionMismatch, match="nonempty"):
+        StateFunctional.from_density(np.zeros((0, 0)))
+
+
 def test_relative_entropy_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         relative_entropy(diag_state(1, 0), StateFunctional.maximally_mixed(3))
