@@ -32,11 +32,12 @@ from . import defaults
 from .dynamics import information
 from .errors import (
     DimensionMismatch,
+    NotPositiveSemidefinite,
     PropertyViolation,
     ResourceCapExceeded,
     ValidationFailure,
 )
-from .linalg import _eigh, as_hermitian, dagger, hermitian_basis
+from .linalg import _eigh, as_hermitian, clamp_psd_spectrum, dagger, hermitian_basis
 from .partitions import KrausMap, Partition, compose, partition_power, vn_partition
 from .states import StateFunctional, product_state, total_functional, von_neumann_entropy
 
@@ -66,13 +67,12 @@ def ensemble_channel(densities, probs) -> Partition:
         if abs(tr - 1.0) > 1e-10:
             raise ValidationFailure(f"ensemble member {i} has trace {tr:.12f}")
         w, v = np.linalg.eigh(rho)
-        kraus = [
-            np.sqrt(p * lam) * v[:, [j]]
-            for j, lam in enumerate(w)
-            if lam > 1e-14
-        ]
-        if not kraus:
-            kraus = [np.zeros((rho.shape[0], 1), dtype=complex)]
+        try:
+            w = clamp_psd_spectrum(w)
+        except NotPositiveSemidefinite as exc:
+            raise NotPositiveSemidefinite(f"ensemble member {i}: {exc}") from exc
+        # trace 1 leaves an eigenvalue of about 1/d at least, so the family is never empty
+        kraus = [np.sqrt(p * lam) * v[:, [j]] for j, lam in enumerate(w) if lam > 1e-14]
         maps.append(KrausMap(tuple(kraus), label=i))
     return Partition(tuple(maps))
 
@@ -356,8 +356,6 @@ def _optimize(
     phi_n = state_power(phi, n)
     code_n = partition_power(code, n)
     base = information(phi_n, code_n)
-    # at n = 1 the powers are phi and code themselves, so base is the code information
-    h_upper = base.total_H if n == 1 else n * information(phi, code).total_H
     basis = np.array(hermitian_basis(code_n.dim_out))
     index = 0 if which == "information" else 1
     branches = np.stack([m.predual(phi_n.density) for m in code_n.maps])
@@ -375,7 +373,7 @@ def _optimize(
         C_n_lower=gains[0],
         D_n_lower=gains[1],
         best_measurement_parameters={which: params.tolist()},
-        H_upper=h_upper,
+        H_upper=base.total_H,
         converged=converged,
     )
 
@@ -437,8 +435,9 @@ def capacity_rate(
     """Capacity reports for n = 1..n_max with the product-measurement consistency check.
 
     The n = 2 search is seeded with the product of the best n = 1
-    measurements, so C_2 >= 2 C_1 - 2e-4 must hold; a violation is an
-    optimizer failure and raises.
+    measurements, so D_2 >= 2 D_1 - 2e-4 must hold; a violation is an
+    optimizer failure and raises.  (C_n is no test of the seeding: every
+    rank-1 projective measurement reads C_n = H(code^n) exactly.)
     """
     if n_max < 1:
         raise ValidationFailure(f"block length must be at least 1, got {n_max}")
@@ -454,10 +453,10 @@ def capacity_rate(
         prev_params = report.best_measurement_parameters
     residual = 0.0
     if n_max >= 2:
-        residual = max(0.0, 2.0 * reports[1].C_n_lower - reports[2].C_n_lower)
+        residual = max(0.0, 2.0 * reports[1].D_n_lower - reports[2].D_n_lower)
         if residual > 2e-4:
             raise PropertyViolation(
-                f"C_2 fell below twice C_1 by {residual:.3e}; product seeding failed"
+                f"D_2 fell below twice D_1 by {residual:.3e}; product seeding failed"
             )
     return CapacityRateReport(reports=reports, superadditivity_residual=residual)
 

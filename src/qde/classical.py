@@ -123,22 +123,30 @@ def compose_function_partitions(
     """Joint partition by pointwise products, labels paired (i, j)."""
     if zeta.points != eta.points:
         raise DimensionMismatch("partitions on different spaces")
-    rows = []
-    labels = []
-    for fi, li in zip(zeta.values, zeta.labels):
-        for gj, lj in zip(eta.values, eta.labels):
-            rows.append(fi * gj)
-            labels.append((li, lj))
-    return FunctionPartition(np.array(rows), tuple(labels))
+    rows = (zeta.values[:, None] * eta.values).reshape(-1, zeta.points)
+    return FunctionPartition(rows, tuple((li, lj) for li in zeta.labels for lj in eta.labels))
+
+
+def _join(mu: np.ndarray, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Products of each squared cell with each squared row, cell-major, without
+    those of measure at most 1e-15: a dead cell has only dead refinements."""
+    joint = (cells[:, None] * rows).reshape(-1, mu.size)
+    return joint[joint @ mu > 1e-15]
+
+
+def _conditional(mu: np.ndarray, squares: np.ndarray, cells: np.ndarray) -> float:
+    """H(zeta composed with eta) - H_{mu after Zeta}(eta) from the squared functions."""
+    mu_after = mu * squares.sum(axis=0)
+    return _cells_entropy(mu, _join(mu, squares, cells)) - _cells_entropy(mu_after, cells)
 
 
 def classical_conditional(
     space: FiniteSpace, zeta: FunctionPartition, eta: FunctionPartition
 ) -> float:
     """H(zeta composed with eta) - H_{mu after Zeta}(eta); zero when eta refines zeta."""
-    joint = classical_information(space, compose_function_partitions(zeta, eta))
-    mu_after = space.measure * (zeta.values**2).sum(axis=0)
-    return joint - _cells_entropy(mu_after, eta.values**2)
+    if not zeta.points == eta.points == space.size:
+        raise DimensionMismatch(f"partitions on {zeta.points}, {eta.points} of {space.size} points")
+    return _conditional(space.measure, zeta.values**2, eta.values**2)
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -164,6 +172,22 @@ def transport_partition(zeta: FunctionPartition, perm) -> FunctionPartition:
     return FunctionPartition(zeta.values[:, inv], zeta.labels)
 
 
+def _joins(mu: np.ndarray, squares: np.ndarray, move: np.ndarray, depth: int):
+    """Live cells of the n-fold joins, n = 1..depth, of the squared functions read at
+    the points as given, then through `move` applied 1..n-1 times; a depth or a
+    level's live cells times outcomes above BRANCH_CAP is refused."""
+    cap = defaults.BRANCH_CAP
+    if depth > cap:
+        raise ResourceCapExceeded(f"depth {depth} exceeds the {cap} level cap")
+    cells, step = np.ones((1, mu.size)), np.arange(mu.size)
+    for n in range(1, depth + 1):
+        if cells.shape[0] * squares.shape[0] > cap:
+            raise ResourceCapExceeded(f"refinement at depth {n} exceeds the {cap} branch cap")
+        cells = _join(mu, cells, squares[:, step])
+        step = move[step]
+        yield cells
+
+
 def permutation_entropy_sequence(
     space: FiniteSpace,
     perm,
@@ -178,31 +202,11 @@ def permutation_entropy_sequence(
     if depth < 1:
         raise ValidationFailure("depth must be at least 1")
     perm = _check_permutation(space, perm)
-    mu = space.measure
     base = classical_information(space, zeta)
     squares = zeta.values**2
-
-    # past cells as squared functions, refined one transported step at a time
-    step = np.arange(space.size)
-    past: list[np.ndarray] = None
-    values = []
-    for n in range(1, depth + 1):
-        step = perm[step]
-        # theta^{-n}(zeta)_i = zeta_i after n forward steps of the permutation
-        shifted = squares[:, step]
-        if past is None:
-            past = [row for row in shifted]
-        else:
-            if len(past) * zeta.size > defaults.BRANCH_CAP:
-                raise ResourceCapExceeded(
-                    f"refinement at depth {n} exceeds the {defaults.BRANCH_CAP} branch cap"
-                )
-            past = [g2 * row for g2 in past for row in shifted]
-            past = [g2 for g2 in past if float(mu @ g2) > 1e-15]
-        joint = [f2 * g2 for f2 in squares for g2 in past]
-        mu_after = mu * squares.sum(axis=0)
-        values.append(_cells_entropy(mu, joint) - _cells_entropy(mu_after, past))
-    return _sequence_from(values, base)
+    # theta^{-n}(zeta)_i = zeta_i after n forward steps of the permutation
+    pasts = _joins(space.measure, squares[:, perm], perm, depth)
+    return _sequence_from([_conditional(space.measure, squares, past) for past in pasts], base)
 
 
 @dataclass(frozen=True)
@@ -226,23 +230,27 @@ def partition_comparison_bound(
     n: int,
 ) -> ComparisonReport:
     """Check H(zeta_n) <= H(eta_n) + n H(zeta|eta) for the n-fold forward joins."""
-    perm = _check_permutation(space, perm)
-    if max(zeta.size, eta.size) ** n > defaults.BRANCH_CAP:
-        raise ResourceCapExceeded(f"{n}-fold join exceeds the {defaults.BRANCH_CAP} branch cap")
+    mu, inv = space.measure, np.argsort(_check_permutation(space, perm))
 
     def joined(partition: FunctionPartition) -> float:
-        cells = [np.ones(space.size)]
-        for k in range(n):
-            if k:  # the k-th factor is the partition moved k steps forward
-                partition = transport_partition(partition, perm)
-            sq = partition.values**2
-            cells = [c * row for c in cells for row in sq]
-            cells = [c for c in cells if float(space.measure @ c) > 1e-15]
-        return _cells_entropy(space.measure, cells)
+        # the k-th factor is the partition moved k steps forward, read at inv^k
+        cells = np.ones((1, space.size))  # the empty join, for n < 1
+        for cells in _joins(mu, partition.values**2, inv, n):
+            pass
+        return _cells_entropy(mu, cells)
 
+    rhs = n * classical_conditional(space, zeta, eta) + joined(eta)  # checks the points first
     lhs = joined(zeta)
-    rhs = joined(eta) + n * classical_conditional(space, zeta, eta)
     return ComparisonReport(lhs, rhs, max(0.0, lhs - rhs))
+
+
+def _check_window(length: int, entries: int) -> None:
+    """Refuse a window of more than MAX_WINDOW symbols or TENSOR_DIM_CAP**2 (= 4**12) entries."""
+    if length > defaults.MAX_WINDOW or entries > defaults.TENSOR_DIM_CAP**2:
+        raise ResourceCapExceeded(
+            f"window of length {length} ({entries} word entries) exceeds the cap of "
+            f"{defaults.MAX_WINDOW} symbols and {defaults.TENSOR_DIM_CAP**2} entries"
+        )
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -307,10 +315,7 @@ class SymbolicShift:
         """
         if length < 1:
             raise ValidationFailure("window length must be at least 1")
-        if self.alphabet_size**length > self.max_window_size:
-            raise ResourceCapExceeded(
-                f"window of length {length} enumerates {self.alphabet_size**length} words"
-            )
+        _check_window(length, self.alphabet_size**length)
         with np.errstate(divide="ignore"):
             log_pi = np.log(self.stationary)
             log_p = np.log(self.transition)
@@ -321,29 +326,23 @@ class SymbolicShift:
         out = np.where(np.isneginf(flat), 0.0, np.exp(flat))
         return out
 
-    @property
-    def max_window_size(self) -> int:
-        return self.alphabet_size**defaults.MAX_WINDOW
-
-    def word_digits(self, length: int) -> np.ndarray:
-        """Array of shape (length, s^length) giving coordinate k of each word."""
-        s = self.alphabet_size
-        idx = np.arange(s**length)
-        return np.array([(idx // s ** (length - 1 - k)) % s for k in range(length)])
-
     def word_space(self, length: int) -> FiniteSpace:
         return FiniteSpace(self.cylinder_measures(length))
 
     def coordinate_indicator(self, length: int, coords) -> FunctionPartition:
         """Indicator partition of words by their symbols at the given coordinates."""
         s = self.alphabet_size
-        digits = self.word_digits(length)
         coords = list(coords)
-        label_idx = np.zeros(digits.shape[1], dtype=int)
-        for k in coords:
-            label_idx = label_idx * s + digits[k]
-        table = np.zeros((s ** len(coords), digits.shape[1]))
-        table[label_idx, np.arange(digits.shape[1])] = 1.0
+        if not all(0 <= k < length for k in coords):
+            raise ValidationFailure(f"coordinates {coords} outside a window of length {length}")
+        _check_window(length, s ** (len(coords) + length))  # the table's entries
+        # read only the asked symbols off the word index: no length x words array
+        words = np.arange(s**length)
+        label_idx = np.zeros(words.size, dtype=int)
+        for k in coords:  # symbol k of each word; the last symbol varies fastest
+            label_idx = label_idx * s + words // s ** (length - 1 - k) % s
+        table = np.zeros((s ** len(coords), words.size))
+        table[label_idx, words] = 1.0
         return FunctionPartition(table)
 
 

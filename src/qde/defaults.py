@@ -24,7 +24,7 @@ WEIGHT_FLOOR = 1e-14
 # Resource caps
 TENSOR_DIM_CAP = 4096
 BRANCH_CAP = 4096
-MAX_WINDOW = 12   # longest Markov window: cylinder measures of alphabet_size**12 words
+MAX_WINDOW = 12   # longest Markov window in symbols; its word arrays hold <= TENSOR_DIM_CAP**2
 SEARCH_CAP = 10**6   # restarts * max_iterations allowed for one capacity search
 
 # Dynamical-entropy sequence defaults

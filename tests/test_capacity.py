@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,12 @@ from qde.capacity import (
     proportional_code_channel,
     unit_input_state,
 )
-from qde.errors import PropertyViolation, ResourceCapExceeded, ValidationFailure
+from qde.errors import (
+    NotPositiveSemidefinite,
+    PropertyViolation,
+    ResourceCapExceeded,
+    ValidationFailure,
+)
 from qde.linalg import hermitian_basis
 from qde.partitions import (
     KrausMap,
@@ -582,3 +588,51 @@ def test_constructors_reject_a_nan_probability_with_their_own_message():
         ensemble_channel([P0, P1], [math.nan, 0.5])
     with pytest.raises(ValidationFailure, match="proportional weights"):
         proportional_code_channel([math.nan, 0.5], 2)
+
+
+# --- ensemble PSD rule and the product-seeding gate --------------------------------
+
+
+def test_ensemble_member_spectra_follow_the_library_psd_rule():
+    # an eigenvalue in [-1e-10, 0) clamps to zero; one below it names its member
+    clamped = ensemble_channel([np.diag([1 + 5e-11, -5e-11]), P0], [0.5, 0.5])
+    assert [len(m.kraus) for m in clamped.maps] == [1, 1]
+    for negative in (-5e-10, -0.5):
+        rho = np.diag([1 - negative, negative])
+        with pytest.raises(NotPositiveSemidefinite, match="^ensemble member 1: eigenvalue"):
+            ensemble_channel([P0, rho], [0.5, 0.5])
+
+
+def _lowered(monkeypatch, field):
+    """Make capacity_rate's n = 2 report read 1e-3 below twice its n = 1 value in `field`."""
+    import qde.capacity
+
+    merged = qde.capacity.merged_capacity_report
+    seen = {}
+
+    def lowered(phi, code, n, config):
+        report = merged(phi, code, n, config)
+        seen[n] = report
+        if n == 2:
+            report = dataclasses.replace(report, **{field: 2 * getattr(seen[1], field) - 1e-3})
+        return report
+
+    monkeypatch.setattr(qde.capacity, "merged_capacity_report", lowered)
+
+
+def test_capacity_rate_gates_product_seeding_on_D(monkeypatch):
+    # every rank-1 projective measurement reads C_n = H(code^n), so only D_2
+    # can show a seeding failure
+    cfg = OptimizerConfig(restarts=1, max_iterations=40, seed=1)
+    _lowered(monkeypatch, "D_n_lower")
+    with pytest.raises(PropertyViolation, match="D_2 fell below twice D_1 by 1.000e-03"):
+        capacity_rate(unit_input_state(), zero_plus_ensemble(), n_max=2, config=cfg)
+
+
+def test_capacity_rate_reads_H_upper_from_each_level(monkeypatch):
+    cfg = OptimizerConfig(restarts=1, max_iterations=40, seed=1)
+    _lowered(monkeypatch, "C_n_lower")  # no longer the gated bound
+    rate = capacity_rate(unit_input_state(), zero_plus_ensemble(), n_max=2, config=cfg)
+    chi = holevo_quantity(unit_input_state(), zero_plus_ensemble())
+    assert rate.reports[2].H_upper == pytest.approx(2 * chi, abs=1e-12)
+    assert rate.superadditivity_residual <= 2e-4

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qde import defaults
 from qde.classical import (
     FiniteSpace,
     FunctionPartition,
@@ -340,3 +341,74 @@ def test_sequences_reject_depth_below_one():
         markov_entropy_sequence(shift, depth=0)
     with pytest.raises(ValidationFailure):
         permutation_entropy_sequence(FiniteSpace.uniform(2), np.array([1, 0]), indicator2(), depth=0)
+
+
+# --- join caps ----------------------------------------------------------------------
+
+
+def test_depth_above_the_branch_cap_is_refused_before_any_level():
+    space = FiniteSpace.uniform(4)
+    zeta = FunctionPartition.indicator([[0, 1], [2, 3]], 4)
+    perm = np.array([1, 2, 3, 0])
+    with pytest.raises(ResourceCapExceeded, match="level cap"):
+        permutation_entropy_sequence(space, perm, zeta, defaults.BRANCH_CAP + 1)
+    with pytest.raises(ResourceCapExceeded, match="level cap"):
+        partition_comparison_bound(space, perm, zeta, zeta, defaults.BRANCH_CAP + 1)
+
+
+def test_deep_indicator_bound_counts_live_cells():
+    # 2**13 words, but indicator cells on 4 points leave at most 4 live joins
+    space = FiniteSpace.uniform(4)
+    zeta = FunctionPartition.indicator([[0, 1], [2, 3]], 4)
+    eta = FunctionPartition.indicator([[0], [1, 2], [3]], 4)
+    report = partition_comparison_bound(space, np.array([1, 2, 3, 0]), zeta, eta, 13)
+    assert report.satisfied
+    assert report.joint_information == pytest.approx(math.log(4), abs=1e-12)
+
+
+def test_smooth_partition_reaches_depth_12_and_is_refused_at_13(rng):
+    # every join of a non-indicator partition stays live: 2**12 cells fill the cap
+    space = FiniteSpace.uniform(4)
+    zeta = random_function_partition(rng, 4, cells=2)
+    perm = np.array([1, 2, 3, 0])
+    seq = permutation_entropy_sequence(space, perm, zeta, 12)
+    assert len(seq.values) == 12
+    with pytest.raises(ResourceCapExceeded, match="depth 13"):
+        permutation_entropy_sequence(space, perm, zeta, 13)
+
+
+def test_conditional_rejects_partitions_on_another_space():
+    zeta = FunctionPartition.indicator([[0], [1, 2]], 3)
+    with pytest.raises(DimensionMismatch):
+        classical_conditional(FiniteSpace.uniform(2), zeta, zeta)
+    with pytest.raises(DimensionMismatch):
+        classical_conditional(FiniteSpace.uniform(3), zeta, indicator2(2))
+    with pytest.raises(DimensionMismatch):
+        partition_comparison_bound(FiniteSpace.uniform(3), [1, 2, 0], zeta, indicator2(2), 2)
+
+
+def test_markov_words_are_capped_by_count():
+    # 5**12 words would take float arrays of 1.95 GB; refused before any is built
+    shift = SymbolicShift.bernoulli([0.2] * 5)
+    with pytest.raises(ResourceCapExceeded, match=r"\(244140625 word entries\)"):
+        shift.cylinder_measures(12)
+    with pytest.raises(ResourceCapExceeded, match=r"\(244140625 word entries\)"):
+        shift.coordinate_indicator(11, [10])
+    assert shift.cylinder_measures(5).sum() == pytest.approx(1.0, abs=1e-10)
+    assert shift.coordinate_indicator(6, [5]).size == 5
+
+
+@pytest.mark.parametrize("coords", [[3], [-1], [0, 4]])
+def test_coordinate_indicator_rejects_coordinates_outside_the_window(coords):
+    shift = SymbolicShift.bernoulli([0.5, 0.5])
+    with pytest.raises(ValidationFailure, match="outside a window of length 3"):
+        shift.coordinate_indicator(3, coords)
+
+
+def test_one_symbol_chain_keeps_the_window_length_cap():
+    shift = SymbolicShift(np.array([[1.0]]))
+    assert shift.cylinder_measures(12).tolist() == [1.0]
+    with pytest.raises(ResourceCapExceeded, match="window of length 13 "):
+        shift.cylinder_measures(13)
+    with pytest.raises(ResourceCapExceeded, match="window of length 13 "):
+        shift.coordinate_indicator(13, [0])

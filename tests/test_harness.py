@@ -807,3 +807,48 @@ def test_cli_capacity_of_a_one_dimensional_output_exits_2_at_its_path(tmp_path, 
     code, captured = _cli_in_process(["run", str(spec_path)], capsys)
     assert code == 2
     assert captured.err.startswith(f"error: {path}: capacity needs an output dimension")
+
+
+_PERMUTATION_SPEC = {
+    "schema_version": "1",
+    "task": "classical",
+    "classical": {
+        "measure": [0.25, 0.25, 0.25, 0.25],
+        "functions": [[1, 1, 0, 0], [0, 0, 1, 1]],
+        "permutation": [1, 2, 3, 0],
+    },
+    "params": {"N": 10**9},
+}
+
+
+def test_cli_deep_permutation_spec_exits_4_before_any_level(tmp_path):
+    # indicator cells on 4 points leave at most 4 live joins, so only the
+    # depth cap stops 10**9 levels
+    spec_path = tmp_path / "deep.json"
+    spec_path.write_text(json.dumps(_PERMUTATION_SPEC))
+    proc = _cli_subprocess(["run", str(spec_path)], timeout=60)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: depth 1000000000 exceeds")
+
+
+def test_cli_markov_window_of_too_many_words_exits_4_before_allocating(tmp_path, capsys):
+    # 65 symbols pass windows of 3 and refuse the window of 4 (65**4 > 4**12
+    # words), where a 5-symbol chain would first build its 5**10-word windows
+    raw = _markov_params(N=11)
+    raw["classical"]["markov"] = np.full((65, 65), 1 / 65).tolist()
+    spec_path = tmp_path / "markov65.json"
+    spec_path.write_text(json.dumps(raw))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 4
+    assert captured.err.startswith("error: window of length 4 (17850625 word entries) exceeds")
+
+
+def test_cli_ensemble_member_with_a_negative_eigenvalue_exits_2_at_channel(tmp_path, capsys):
+    # spectrum (1 + 5e-10, -5e-10): trace one, but below the -1e-10 clamping tolerance
+    rho = np.diag([1 + 5e-10, -5e-10])
+    channel = {"kind": "ensemble", "states": [cm(np.eye(2) / 2), cm(rho)], "probs": [0.5, 0.5]}
+    spec_path = tmp_path / "ensemble.json"
+    spec_path.write_text(json.dumps({"schema_version": "1", "task": "capacity", "channel": channel}))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 2
+    assert captured.err.startswith("error: channel: ensemble member 1: eigenvalue -5.000e-10")
