@@ -13,11 +13,11 @@ both nonnegative and bounded by H(code).  The finite-block capacities C_n
 and D_n are suprema of I and Ic over measurements on the n-fold product
 output; this module reports lower bounds from a deterministically seeded
 multi-restart simplex search over rotated projective measurements that
-steps on their outcome weights.  On a qubit output a step takes the weights
-from the measurement's Bloch vector in closed form; a larger output keeps
-one eigh of the generator per step.  Either way each bound is certified
-once through the full library path (`projective_measurement`, `compose`,
-`information`).
+steps on their outcome weights.  On a qubit output it steps on the two
+in-plane generator components and takes the weights from the Bloch vector in
+closed form; a larger output keeps one eigh of the generator per step.
+Either way each bound is certified once through the full library path
+(`projective_measurement`, `compose`, `information`).
 """
 
 from __future__ import annotations
@@ -260,6 +260,15 @@ def _rotation(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ dagger(v)
 
 
+def _in_plane(params) -> np.ndarray:
+    """(x, y) whose qubit measurement (x, y, 0) is that of the three `params`: an
+    in-plane generator of norm t turns z by sqrt(2) t about (x, y) / t."""
+    a, b = _rotation(np.asarray(params, dtype=float), np.array(hermitian_basis(2)))[:, 0]
+    plane = 2.0 * complex(np.conj(a) * b)  # nx + i ny of outcome 0's Bloch vector
+    t = math.atan2(abs(plane), abs(a) ** 2 - abs(b) ** 2) / math.sqrt(2.0)
+    return t * np.array([plane.imag, -plane.real]) / abs(plane) if plane else np.array([t, 0.0])
+
+
 def projective_measurement(params: np.ndarray, basis) -> Partition:
     """Rank-1 projective measurement in the standard basis rotated by exp(i H).
 
@@ -358,11 +367,17 @@ def _optimize(
     base = information(phi_n, code_n)
     basis = np.array(hermitian_basis(code_n.dim_out))
     index = 0 if which == "information" else 1
-    branches = np.stack([m.predual(phi_n.density) for m in code_n.maps])
-    objective = _objective(base, branches, basis, index)
-    value, params, converged = _search(objective, len(basis), config)
+    images = code_n.branch_preduals(phi_n)
+    objective = _objective(base, np.stack([b.density for b in images]), basis, index)
+    if code_n.dim_out == 2:
+        # z is a flat direction (in-plane rotations reach every Bloch vector): step on (x, y)
+        cfg = replace(config, extra_initial_points=tuple(map(_in_plane, config.extra_initial_points)))
+        value, xy, converged = _search(lambda xy: objective(np.append(xy, 0.0)), 2, cfg)
+        params = np.append(xy, 0.0)
+    else:
+        value, params, converged = _search(objective, len(basis), config)
     # the certificate: the winner evaluated once through the full library path
-    after = code_n.total_predual(phi_n)
+    after = total_functional(images)
     gains = _gain_from_parts(base, after, phi_n, code_n, projective_measurement(params, basis))
     if abs(gains[index] - value) > 1e-8:
         raise PropertyViolation(

@@ -14,7 +14,6 @@ ground truth comes from exact Bernoulli/Markov cylinder measures on windows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,17 +96,12 @@ class FunctionPartition:
         return cls(table)
 
 
-def _cells_entropy(mu: np.ndarray, squares) -> float:
-    """H over an explicit list of squared cell functions (need not be validated)."""
-    h = 0.0
-    for g2 in squares:
-        w = float(mu @ g2)
-        if w <= defaults.WEIGHT_FLOOR:
-            continue
-        h -= w * math.log(w)
-        mask = g2 > 1e-300
-        h += float(np.sum(mu[mask] * g2[mask] * np.log(g2[mask])))
-    return h
+def _cells_entropy(mu: np.ndarray, squares: np.ndarray) -> float:
+    """H over the rows of squared cell functions (need not be validated)."""
+    weights = squares @ mu
+    live = squares[weights > defaults.WEIGHT_FLOOR]
+    logs = np.log(live, where=live > 1e-300, out=np.zeros_like(live))
+    return _shannon(weights) + float(np.sum((live * logs) @ mu))
 
 
 def classical_information(space: FiniteSpace, zeta: FunctionPartition) -> float:
@@ -257,9 +251,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """A stationary probability vector of a row-stochastic matrix."""
     p = np.asarray(transition, dtype=float)
     w, v = np.linalg.eig(p.T)
-    idx = int(np.argmin(np.abs(w - 1.0)))
-    pi = np.real(v[:, idx])
-    pi = np.abs(pi)
+    pi = np.abs(np.real(v[:, np.argmin(np.abs(w - 1.0))]))
     return pi / pi.sum()
 
 
@@ -283,9 +275,7 @@ class SymbolicShift:
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "transition", p)
-        pi = self.stationary
-        if pi is None:
-            pi = stationary_distribution(p)
+        pi = stationary_distribution(p) if self.stationary is None else self.stationary
         pi = np.asarray(pi, dtype=float)
         if pi.shape != (p.shape[0],):
             raise DimensionMismatch(
@@ -308,23 +298,14 @@ class SymbolicShift:
         return cls(np.tile(probs, (probs.size, 1)), probs)
 
     def cylinder_measures(self, length: int) -> np.ndarray:
-        """Exact measures of all alphabet words of the given length, flat and in word order.
-
-        Products are accumulated in the log domain; words through a
-        zero-probability transition get measure exactly zero.
-        """
+        """Exact measures of all alphabet words of the given length, flat and in
+        word order; words through a zero-probability transition get exactly 0."""
         if length < 1:
             raise ValidationFailure("window length must be at least 1")
         _check_window(length, self.alphabet_size**length)
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(self.stationary)
-            log_p = np.log(self.transition)
-        log_m = log_pi
-        for _ in range(length - 1):
-            log_m = log_m[..., None] + log_p
-        flat = log_m.reshape(-1)
-        out = np.where(np.isneginf(flat), 0.0, np.exp(flat))
-        return out
+        for m in _windows(self, length):
+            pass
+        return m
 
     def word_space(self, length: int) -> FiniteSpace:
         return FiniteSpace(self.cylinder_measures(length))
@@ -346,6 +327,16 @@ class SymbolicShift:
         return FunctionPartition(table)
 
 
+def _windows(shift: SymbolicShift, length: int):
+    """Cylinder measures of the windows of 1..length symbols, each in word order
+    (the last symbol varies fastest) and extended from the last: m(w) P_(last w) j."""
+    m, s = np.array(shift.stationary), shift.alphabet_size
+    yield m
+    for _ in range(length - 1):
+        m = (m.reshape(-1, s, 1) * shift.transition).reshape(-1)
+        yield m
+
+
 def _shannon(q: np.ndarray) -> float:
     q = q[q > defaults.WEIGHT_FLOOR]
     return float(-np.sum(q * np.log(q)))
@@ -354,22 +345,17 @@ def _shannon(q: np.ndarray) -> float:
 def markov_entropy_sequence(shift: SymbolicShift, depth: int = 5) -> EntropySequence:
     """Windowed conditional entropies of the observed symbol given n past symbols.
 
-    Computed from exact cylinder measures; for a Markov source the value is
-    -sum_ij pi_i P_ij ln P_ij at every n >= 1.
+    Computed from exact cylinder measures, each window extended by one symbol
+    from the last, whose measures are its past marginal; for a Markov source
+    the value is -sum_ij pi_i P_ij ln P_ij at every n >= 1.  Every window is
+    checked against the caps before the first is built.
     """
     if depth < 1:
         raise ValidationFailure("depth must be at least 1")
-    values = []
-    for n in range(1, depth + 1):
-        # words of length n + 1 in word order: the last symbol varies fastest,
-        # so the past marginal sums consecutive runs of alphabet_size words;
-        # summing the columns in turn adds each run left to right
-        m = shift.cylinder_measures(n + 1)
-        past = sum(m.reshape(-1, shift.alphabet_size).T)
-        if n == 1:
-            base = _shannon(past)
-        values.append(_shannon(m) - _shannon(past))
-    return _sequence_from(values, base)
+    for length in range(2, depth + 2):
+        _check_window(length, shift.alphabet_size**length)
+    h = [_shannon(m) for m in _windows(shift, depth + 1)]
+    return _sequence_from([b - a for a, b in zip(h, h[1:])], h[0])
 
 
 def embed_diagonal(

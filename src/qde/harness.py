@@ -493,6 +493,8 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
         raise _fail("params.partitions", "expected a nonempty list of partition names")
     if names is None:
         candidates = {None: spec.partitions[_partition_name(spec)]}
+    elif "partition" in spec.params:
+        raise _fail("params.partition", "a sweep runs over params.partitions; give one of the two")
     else:
         # candidate sweep: the best estimate is only a lower bound on the
         # supremum over measurements, never the supremum itself
@@ -528,6 +530,8 @@ def _task_dynent(spec: SystemSpec, seed: int) -> dict:
 
 def _task_capacity(spec: SystemSpec, seed: int) -> dict:
     if spec.channel is not None:
+        if "partition" in spec.params:
+            raise _fail("params.partition", "the task runs on its channel; drop params.partition")
         code, path = spec.channel, "channel"
     else:
         name = _partition_name(spec)

@@ -40,7 +40,7 @@ from .linalg import (
     spectral_decompose,
     tensor,
 )
-from .states import StateFunctional
+from .states import StateFunctional, total_functional
 
 
 class _Diagonals:
@@ -448,15 +448,8 @@ class Partition:
         return iter(self.maps)
 
     def total_predual(self, omega: StateFunctional) -> StateFunctional:
-        """State after the total (unital) map; preserves the weight."""
-        if omega.dim != self.dim_in:
-            raise DimensionMismatch(f"state dimension {omega.dim} vs partition input {self.dim_in}")
-        if omega.algebra.is_commutative and all(
-            m._diagonal_weights is not None for m in self.maps
-        ):
-            return _diagonal_predual(sum(m._diagonal_weights for m in self.maps), omega)
-        out = sum(m.predual(omega.density) for m in self.maps)
-        return StateFunctional._trusted(out, BlockAlgebra.full(self.dim_out))
+        """State after the total (unital) map, the sum of the branch images; preserves the weight."""
+        return total_functional(self.branch_preduals(omega))
 
     def branch_preduals(self, omega: StateFunctional) -> list[StateFunctional]:
         """predual_apply of every outcome, in outcome order."""

@@ -636,3 +636,65 @@ def test_capacity_rate_reads_H_upper_from_each_level(monkeypatch):
     chi = holevo_quantity(unit_input_state(), zero_plus_ensemble())
     assert rate.reports[2].H_upper == pytest.approx(2 * chi, abs=1e-12)
     assert rate.superadditivity_residual <= 2e-4
+
+
+
+def test_a_qubit_search_steps_on_x_and_y_and_reports_z_zero(monkeypatch):
+    import qde.capacity as cap
+
+    search, widths = cap._search, []
+
+    def watched_search(objective, nparams, config):
+        widths.append(nparams)
+        return search(objective, nparams, config)
+
+    monkeypatch.setattr(cap, "_search", watched_search)
+    cfg = OptimizerConfig(restarts=3, max_iterations=60, seed=2)
+    report = merged_capacity_report(unit_input_state(), zero_plus_ensemble(), 1, cfg)
+    assert widths == [2, 2]
+    for params in report.best_measurement_parameters.values():
+        assert len(params) == 3 and params[2] == 0.0
+    # the padded winner is the measurement the report certified
+    winner = np.array(report.best_measurement_parameters["classical"])
+    eta = projective_measurement(winner, hermitian_basis(2))
+    gains = information_gain(unit_input_state(), zero_plus_ensemble(), eta)
+    assert gains[1] == pytest.approx(report.D_n_lower, abs=1e-12)
+    # a larger output searches every generator component
+    widths.clear()
+    phi = StateFunctional.from_density(PLUS)
+    code = partition_power(dephasing_channel(0.2), 2)
+    optimize_Dn(product_state(phi, phi), code, 1, OptimizerConfig(restarts=1, max_iterations=5))
+    assert widths == [15]
+
+
+def _outcome_bloch_vector(params):
+    """Bloch vector of outcome 0 of `projective_measurement(params, hermitian_basis(2))`."""
+    eta = projective_measurement(np.asarray(params, dtype=float), hermitian_basis(2))
+    p0 = eta.maps[0].kraus[0]
+    return np.array([2 * p0[0, 1].real, -2 * p0[0, 1].imag, (p0[0, 0] - p0[1, 1]).real])
+
+
+def test_every_bloch_direction_is_reached_by_an_in_plane_generator(rng):
+    # an in-plane generator of norm t rotates z by sqrt(2) t about (x, y) / t, so
+    # n = (-sin(sqrt(2) t) y / t, sin(sqrt(2) t) x / t, cos(sqrt(2) t))
+    for n in rng.normal(size=(50, 3)):
+        n /= np.linalg.norm(n)
+        t = math.atan2(math.hypot(n[0], n[1]), n[2]) / math.sqrt(2)
+        x, y = t * np.array([n[1], -n[0]]) / math.hypot(n[0], n[1])
+        assert np.abs(_outcome_bloch_vector([x, y, 0.0]) - n).max() <= 1e-12
+
+
+def test_a_three_parameter_seed_enters_the_qubit_search_as_its_own_measurement(rng):
+    from qde.capacity import _in_plane
+
+    poles = [np.zeros(3), np.array([0.0, 0.0, 2.0]), np.array([math.pi / math.sqrt(2), 0, 0])]
+    for params in poles + list(rng.uniform(-np.pi, np.pi, size=(50, 3))):
+        moved = np.append(_in_plane(params), 0.0)
+        assert np.abs(_outcome_bloch_vector(moved) - _outcome_bloch_vector(params)).max() <= 1e-12
+    # the search starts from the seed's own measurement, so it never ends below it
+    seed = rng.uniform(-np.pi, np.pi, size=3)
+    code = zero_plus_ensemble()
+    cfg = OptimizerConfig(restarts=1, max_iterations=1, extra_initial_points=(seed,))
+    seeded = optimize_Dn(unit_input_state(), code, 1, cfg)
+    eta = projective_measurement(seed, hermitian_basis(2))
+    assert seeded.D_n_lower >= information_gain(unit_input_state(), code, eta)[1] - 1e-12

@@ -412,3 +412,99 @@ def test_one_symbol_chain_keeps_the_window_length_cap():
         shift.cylinder_measures(13)
     with pytest.raises(ResourceCapExceeded, match="window of length 13 "):
         shift.coordinate_indicator(13, [0])
+
+
+# --- one kernel per job: cell entropies and Markov word measures ---------------
+
+
+def _per_cell_entropy(mu, squares):
+    """The cell entropy as one loop over cells, the reference for `_cells_entropy`."""
+    h = 0.0
+    for g2 in squares:
+        w = float(mu @ g2)
+        if w <= defaults.WEIGHT_FLOOR:
+            continue
+        h -= w * math.log(w)
+        mask = g2 > 1e-300
+        h += float(np.sum(mu[mask] * g2[mask] * np.log(g2[mask])))
+    return h
+
+
+def test_cells_entropy_matches_the_per_cell_loop(rng):
+    from qde.classical import _cells_entropy
+
+    for _ in range(40):
+        cells, points = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        mu = rng.random(points)
+        mu[rng.random(points) < 0.2] = 0.0
+        mu = mu / mu.sum() if mu.sum() > 0 else np.full(points, 1.0 / points)
+        squares = rng.random((cells, points))
+        tiny = rng.random((cells, points))
+        squares[tiny < 0.15] = 0.0
+        squares[(tiny >= 0.15) & (tiny < 0.25)] = 1e-310  # subnormal: below the log cut
+        squares[(tiny >= 0.25) & (tiny < 0.35)] = 1e-300  # at the cut: left out
+        squares[rng.random(cells) < 0.3] = 0.0  # dead rows
+        squares[0, 0] = 1e-300 * (1 + 1e-12)  # just above the cut: kept
+        got = _cells_entropy(mu, squares)
+        assert got == pytest.approx(_per_cell_entropy(mu, squares), abs=1e-12)
+
+
+def test_cells_entropy_skips_rows_at_the_weight_floor():
+    from qde.classical import _cells_entropy
+
+    mu = np.array([0.5, 0.5])
+    squares = np.array([[1.0, 1.0], [2e-14, 0.0], [1e-300, 1e-310]])
+    assert _cells_entropy(mu, squares) == _per_cell_entropy(mu, squares) == 0.0
+
+
+def _log_domain_cylinders(shift, length):
+    """The cylinder measures as sums of logarithms, the reference for `cylinder_measures`."""
+    with np.errstate(divide="ignore"):
+        log_m, log_p = np.log(shift.stationary), np.log(shift.transition)
+    for _ in range(length - 1):
+        log_m = log_m[..., None] + log_p
+    flat = log_m.reshape(-1)
+    return np.where(np.isneginf(flat), 0.0, np.exp(flat))
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3, 4])
+def test_cylinder_measures_match_the_log_domain_reference(rng, alphabet):
+    p = rng.random((alphabet, alphabet)) + 0.05
+    if alphabet > 1:
+        p[0, -1] = 0.0  # a zero transition: every word through it has measure 0
+    shift = SymbolicShift(p / p.sum(axis=1, keepdims=True))
+    for length in range(1, 7):
+        got, want = shift.cylinder_measures(length), _log_domain_cylinders(shift, length)
+        assert got.shape == (alphabet**length,)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+        if alphabet > 1 and length > 1:  # the words that open with the zero transition
+            dead = got.reshape(alphabet, alphabet, -1)[0, -1]
+            assert dead.tolist() == [0.0] * alphabet ** (length - 2)
+    assert shift.cylinder_measures(1).flags.writeable
+
+
+def test_markov_sequence_reads_each_window_once_as_the_next_past():
+    # H(window n + 1) - H(window n), with the windows' entropies from the reference
+    p = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.4, 0.4, 0.2]])
+    shift = SymbolicShift(p)
+    window_h = [shannon(_log_domain_cylinders(shift, n)) for n in range(1, 7)]
+    seq = markov_entropy_sequence(shift, depth=5)
+    assert seq.information_bound == pytest.approx(window_h[0], abs=1e-13)
+    want = [b - a for a, b in zip(window_h, window_h[1:])]
+    assert list(seq.values) == pytest.approx(want, abs=1e-13)
+
+
+def test_an_oversized_markov_window_is_refused_before_any_window_is_built():
+    import tracemalloc
+
+    shift = SymbolicShift.bernoulli([0.2] * 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded, match=r"^window of length 11 \(48828125 word"):
+            markov_entropy_sequence(shift, depth=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -711,6 +711,10 @@ _Z_MAPS = [[cm(np.diag([1.0, 0.0]))], [cm(np.diag([0.0, 1.0]))]]
         (_task_spec("classical", classical=dict(PERMUTATION_SYSTEM, permutation=1)),
          "classical.permutation"),
         (_task_spec("classical", classical=dict(PERMUTATION_SYSTEM, period=4)), "classical.period"),
+        (dict(sweep_spec(["trivial", "unsharp"]),
+              params={"N": 3, "partitions": ["trivial", "unsharp"], "partition": "nonexistent"}),
+         "params.partition"),
+        (_capacity_params(partition="nonexistent"), "params.partition"),
     ],
     ids=[
         "unitary-2x3", "unitary-3x2", "unitary-3x3-on-2x2", "empty-partitions", "empty-dims",
@@ -719,7 +723,7 @@ _Z_MAPS = [[cm(np.diag([1.0, 0.0]))], [cm(np.diag([0.0, 1.0]))]]
         "partition-without-maps", "map-without-kraus", "unknown-map-key", "info-without-state",
         "dynent-without-state", "dephasing-without-state", "missing-classical",
         "non-object-classical", "classical-without-work", "non-list-permutation",
-        "unknown-classical-key",
+        "unknown-classical-key", "partition-beside-a-sweep", "partition-beside-a-channel",
     ],
 )
 def test_cli_bad_unitary_and_empty_lists_exit_2_at_their_path(tmp_path, capsys, raw, path):

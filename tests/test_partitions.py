@@ -17,7 +17,7 @@ from qde.partitions import (
     validate_partition,
     vn_partition,
 )
-from qde.properties import random_partition, random_unitary
+from qde.properties import random_density, random_partition, random_unitary
 from qde.states import StateFunctional
 
 from conftest import I2, MINUS, P0, P1, PLUS, SX, SZ
@@ -379,3 +379,35 @@ def test_automorphism_rejects_a_nan_or_empty_matrix():
         Automorphism(np.full((2, 2), np.nan))
     with pytest.raises(DimensionMismatch, match="nonempty"):
         Automorphism(np.zeros((0, 0)))
+
+
+def _symmetrized_sum(part, omega):
+    total = sum(m.predual(omega.density) for m in part.maps)
+    return 0.5 * (total + dagger(total))
+
+
+def test_total_predual_is_the_symmetrized_sum_of_the_map_images(rng):
+    weights = rng.random(4)
+    diagonal = StateFunctional.commutative(weights / weights.sum())
+    d = np.sqrt(rng.dirichlet(np.ones(3), size=4).T)  # 3 diagonal maps on 4 points
+    diagonal_part = Partition(tuple(KrausMap((np.diag(row),)) for row in d))
+    full = random_partition(rng, 4, outcomes=3, kraus_per_map=2)
+    # a diagonal map beside a non-diagonal one: |0><0| + |1><1| and the swap of 2, 3
+    swap = np.zeros((4, 4))
+    swap[2, 3] = swap[3, 2] = 1.0
+    mixed = Partition((KrausMap((np.diag([1.0, 1.0, 0.0, 0.0]),)), KrausMap((swap,))))
+    dense = StateFunctional.from_density(np.diag(weights / weights.sum()).astype(complex))
+    cases = [(diagonal_part, diagonal), (full, diagonal), (full, dense), (mixed, diagonal)]
+    cases.append((mixed, StateFunctional.from_density(random_density(rng, 4))))
+    for part, omega in cases:
+        out = part.total_predual(omega)
+        assert np.abs(out.density - _symmetrized_sum(part, omega)).max() <= 1e-14
+        assert out.weight == pytest.approx(omega.weight, abs=1e-14)
+    # diagonal maps on a diagonal state keep it held as its diagonal
+    assert diagonal_part.total_predual(diagonal)._diagonal is not None
+    assert mixed.total_predual(diagonal)._diagonal is None
+
+
+def test_total_predual_checks_the_state_dimension():
+    with pytest.raises(DimensionMismatch, match="state dimension 3 vs partition input 2"):
+        z_partition().total_predual(StateFunctional.maximally_mixed(3))
