@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from . import defaults
 from .dynamics import information
@@ -295,6 +294,16 @@ class OptimizerConfig:
     seed: int = 0
     extra_initial_points: tuple = ()
 
+    def __post_init__(self):
+        # the bounds the harness puts on params.restarts, params.max_iterations and the seed
+        for name, minimum in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integer or value < minimum:
+                raise ValidationFailure(
+                    f"{name} must be an integer of at least {minimum}, got {value!r}"
+                )
+
 
 @dataclass(frozen=True)
 class CapacityReport:
@@ -320,12 +329,12 @@ def _search(objective, nparams: int, config: OptimizerConfig):
     Returns (value, params, converged); converged is whether the best
     restart met its tolerances.
     """
+    import scipy.optimize  # the only scipy use; kept off the `import qde` path
+
     rng = np.random.default_rng(config.seed)
     starts = [np.zeros(nparams)]
     starts += [np.asarray(p, dtype=float) for p in config.extra_initial_points]
-    starts += [
-        rng.uniform(-np.pi, np.pi, size=nparams) for _ in range(max(config.restarts - 1, 0))
-    ]
+    starts += [rng.uniform(-np.pi, np.pi, size=nparams) for _ in range(config.restarts - 1)]
 
     def run(start):
         res = scipy.optimize.minimize(

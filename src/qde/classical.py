@@ -282,6 +282,10 @@ class SymbolicShift:
                 f"stationary vector of shape {pi.shape} for {p.shape[0]} symbols"
             )
         assert_finite(pi, "stationary vector")
+        if np.any(pi < -1e-15):
+            raise ValidationFailure("stationary vector has negative entries")
+        if abs(pi.sum() - 1.0) > defaults.STOCHASTICITY_TOL:
+            raise ValidationFailure(f"stationary vector sums to {pi.sum():.12g}, not 1")
         if np.max(np.abs(pi @ p - pi)) > defaults.STOCHASTICITY_TOL:
             raise ValidationFailure("vector is not stationary for the transition matrix")
         pi = np.clip(pi, 0.0, None)

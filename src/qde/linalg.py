@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import defaults
 from .errors import (
@@ -134,7 +133,15 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def direct_sum(mats) -> np.ndarray:
-    return scipy.linalg.block_diag(*[np.asarray(m, dtype=complex) for m in mats])
+    """Block-diagonal complex matrix with the given blocks in order."""
+    mats = [np.atleast_2d(np.asarray(m, dtype=complex)) for m in mats]
+    rows, cols = sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)
+    out = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 def trace_norm(a: np.ndarray) -> float:

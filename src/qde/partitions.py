@@ -618,6 +618,8 @@ def pinching_invariant_partition(projectors, phi: StateFunctional) -> Partition:
     rho = phi.density
     projs = _projector_family(projectors)
     dim = projs[0].shape[0]
+    if phi.dim != dim:
+        raise DimensionMismatch(f"state dimension {phi.dim} vs projector dimension {dim}")
     for p in projs:
         if frobenius(rho @ p - p @ rho) > defaults.INVARIANCE_TOL:
             raise ValidationFailure(

@@ -698,3 +698,13 @@ def test_a_three_parameter_seed_enters_the_qubit_search_as_its_own_measurement(r
     seeded = optimize_Dn(unit_input_state(), code, 1, cfg)
     eta = projective_measurement(seed, hermitian_basis(2))
     assert seeded.D_n_lower >= information_gain(unit_input_state(), code, eta)[1] - 1e-12
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("restarts", 0), ("restarts", -3), ("max_iterations", 0), ("seed", -1), ("restarts", 2.0)],
+)
+def test_optimizer_config_rejects_counts_and_seeds_below_their_minimum(field, value):
+    # not one silent restart, and not numpy's error from default_rng
+    with pytest.raises(ValidationFailure, match=f"^{field} must be an integer of at least"):
+        OptimizerConfig(**{field: value})

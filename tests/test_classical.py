@@ -333,6 +333,11 @@ def test_nan_stationary_vector_fails_closed():
         SymbolicShift(np.array([[0.7, 0.3], [0.2, 0.8]]), stationary=[0.5, math.nan])
     with pytest.raises(DimensionMismatch, match="for 2 symbols"):  # not numpy's matmul error
         SymbolicShift(np.array([[0.7, 0.3], [0.2, 0.8]]), stationary=[0.5, 0.25, 0.25])
+    # stationary (pi P = pi) but not a probability vector
+    with pytest.raises(ValidationFailure, match="^stationary vector sums to 4, not 1$"):
+        SymbolicShift(np.full((2, 2), 0.5), stationary=[2, 2])
+    with pytest.raises(ValidationFailure, match="^stationary vector has negative entries$"):
+        SymbolicShift(np.array([[0.9, 0.1], [0.1, 0.9]]), stationary=[-0.5, -0.5])
 
 
 def test_sequences_reject_depth_below_one():

@@ -325,6 +325,46 @@ def _cli_subprocess(args, timeout=None):
     )
 
 
+def test_import_qde_loads_no_scipy_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, qde; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_runs_every_task_but_capacity_without_scipy(tmp_path, monkeypatch):
+    # a scipy.py ahead of site-packages makes `import scipy` fail, as on a
+    # machine without scipy; only the capacity search needs it
+    (tmp_path / "scipy.py").write_text('raise ImportError("scipy is not installed")\n')
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
+    )
+    dynent = dict(info_spec(), task="dynent", params={"partition": "zbasis", "N": 3})
+    markov = {
+        "schema_version": "1",
+        "task": "classical",
+        "classical": {"markov": [[0.9, 0.1], [0.1, 0.9]]},
+        "params": {"N": 5},
+    }
+    for name, raw in (("info", info_spec()), ("dynent", dynent), ("markov", markov)):
+        spec_path = tmp_path / f"{name}.json"
+        spec_path.write_text(json.dumps(raw))
+        proc = _cli_subprocess(["run", str(spec_path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / f"{name}.result.json").is_file()
+    proc = _cli_subprocess(["verify", "--dims", "2", "--trials", "5"])
+    assert proc.returncode == 0, proc.stderr
+    words = proc.stdout.split()
+    assert words[words.index("all_passed") + 1] == "True"
+
+
 def test_cli_non_numeric_matrix_entry_fails_closed(tmp_path):
     raw = info_spec()
     raw["state"][0][0] = ["x", 0]

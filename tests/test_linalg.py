@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qde.errors import NotPositiveSemidefinite, ResourceCapExceeded, ValidationFailure
 from qde.linalg import (
     BlockAlgebra,
     as_hermitian,
     dagger,
+    direct_sum,
     hermitian_basis,
     matrix_log_on_support,
     power_on_support,
@@ -147,3 +149,18 @@ def test_block_algebra():
     assert alg.off_block_norm(projected) == 0.0
     with pytest.raises(ValidationFailure):
         BlockAlgebra((0,))
+
+
+def test_direct_sum_matches_scipy_block_diag():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        blocks = []
+        for rows, cols in rng.integers(1, 5, size=(rng.integers(1, 5), 2)):
+            block = rng.normal(size=(rows, cols))
+            if rng.random() < 0.5:
+                block = block + 1j * rng.normal(size=(rows, cols))
+            blocks.append(block)
+        got = direct_sum(blocks)
+        want = scipy.linalg.block_diag(*[np.asarray(b, dtype=complex) for b in blocks])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)

@@ -268,6 +268,12 @@ def test_pinching_rejects_noncommuting():
         pinching_invariant_partition([P0, P1], StateFunctional.from_density(PLUS))
 
 
+def test_pinching_rejects_a_state_of_another_dimension():
+    # not numpy's matmul error from the commutation check
+    with pytest.raises(DimensionMismatch, match="^state dimension 3 vs projector dimension 2$"):
+        pinching_invariant_partition([P0, P1], StateFunctional.maximally_mixed(3))
+
+
 def test_pinching_rejects_an_empty_family():
     with pytest.raises(ValidationFailure, match="^empty projector family$"):
         pinching_invariant_partition([], StateFunctional.maximally_mixed(2))
