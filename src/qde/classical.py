@@ -343,7 +343,9 @@ def _windows(shift: SymbolicShift, length: int):
 
 def _shannon(q: np.ndarray) -> float:
     q = q[q > defaults.WEIGHT_FLOOR]
-    return float(-np.sum(q * np.log(q)))
+    terms = np.log(q)
+    terms *= q  # in place: one array beside the live weights
+    return float(-np.sum(terms))
 
 
 def markov_entropy_sequence(shift: SymbolicShift, depth: int = 5) -> EntropySequence:

@@ -635,6 +635,8 @@ def run_task(spec: SystemSpec, seed: int | None = None) -> ResultRecord:
     """Dispatch one validated spec; deterministic under a fixed seed."""
     t0 = time.monotonic()
     seed = _int_param(spec.params, "seed", 0, minimum=0) if seed is None else int(seed)
+    if seed < 0:  # an explicit seed, held to params.seed's minimum
+        raise _fail("seed", f"expected an integer of at least 0, got {seed}")
     body = _DISPATCH[spec.task](spec, seed)
     return ResultRecord(
         task=spec.task,

@@ -216,27 +216,41 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return 0.5 * (prod + np.swapaxes(prod.conj(), -1, -2))
 
 
-def _unit_images(stacks, weights) -> list[np.ndarray]:
-    """Unit images sum_k K_k^dag K_k of finite Kraus stacks.
+def _unit_images(stacks, weights) -> list[np.ndarray | None]:
+    """Dense unit images sum_k K_k^dag K_k of finite Kraus stacks, checked sub-unital.
 
     A stack is (count, dim_out, dim_in), or the (count, d) diagonals of an
-    exactly diagonal map.  A diagonal map (`weights` entry not None) has the
-    real image diag(weights); the others take one batched product per Kraus
-    count.  One eigvalsh of all images checks that every map is sub-unital.
+    exactly diagonal map.  A diagonal map (`weights` entry not None) gets
+    None: its image diag(weights) is the direct sum of the 1 x 1 blocks
+    [w_i], so its spectrum is one eigvalsh of the (d, 1, 1) stack
+    w[:, None, None], O(d) work with no d x d matrix built.  The top of that
+    spectrum is weights.max(), a closed form that would drop the call; it
+    waits on ROADMAP item 1, since qdebench/selfcheck.py pins one eigensolve
+    per single-map build.  The other maps take one batched product per Kraus
+    count and one eigvalsh of all their images.
     """
     if not all(np.isfinite(stack).all() for stack in stacks):
         raise ValidationFailure("Kraus element with non-finite entries")
-    units = [None if w is None else np.diag(w) for w in weights]
+    units = [None] * len(stacks)
     by_count: dict[int, list[int]] = {}
-    for t in (t for t, unit in enumerate(units) if unit is None):
+    for t in (t for t, w in enumerate(weights) if w is None):
         by_count.setdefault(len(stacks[t]), []).append(t)
     for batch in by_count.values():
         rows = np.array([stacks[t] for t in batch]).reshape(len(batch), -1, stacks[0].shape[2])
         for t, unit in zip(batch, _gram(rows)):
             units[t] = unit
-    spectra = np.linalg.eigvalsh(units[0] if len(units) == 1 else np.array(units))
-    top = float(spectra[-1] if spectra.ndim == 1 else spectra[:, -1].max())  # ascending
-    if top > 1.0 + defaults.SUB_UNITALITY_TOL:
+    diagonal = [w for w in weights if w is not None]
+    dense = [unit for unit in units if unit is not None]
+    tops = []  # one eigvalsh per kind present
+    if diagonal:
+        blocks = diagonal[0] if len(diagonal) == 1 else np.concatenate(diagonal)
+        tops.append(np.linalg.eigvalsh(blocks[:, None, None]).max())
+    if dense:
+        spectra = np.linalg.eigvalsh(dense[0] if len(dense) == 1 else np.array(dense))
+        tops.append(spectra[-1] if spectra.ndim == 1 else spectra[:, -1].max())  # ascending
+    top = float(tops[0] if len(tops) == 1 else np.maximum(*tops))  # np.maximum keeps a NaN
+    # not `top > bound`: a NaN spectrum, from an overflowing image, fails too
+    if not top <= 1.0 + defaults.SUB_UNITALITY_TOL:
         raise ValidationFailure(f"map is not sub-unital: max eigenvalue {top:.12f}")
     return units
 

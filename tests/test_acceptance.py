@@ -177,11 +177,11 @@ def test_criterion_8_markov_ground_truth():
     with criterion(8, "Markov window dynamics hit the exact entropy rate", 60.0):
         P = np.array([[0.9, 0.1], [0.1, 0.9]])
         shift = SymbolicShift(P)
-        seq = markov_entropy_sequence(shift, depth=7)
+        seq = markov_entropy_sequence(shift, depth=10)
         for n, value in enumerate(seq.values, start=1):
             assert abs(value - MARKOV_RATE) <= 1e-6, f"n={n}"
             # embedded quantum path on the diagonal window algebra, up to
-            # window 8 (dimension 256), past the largest of the benchmark's mix
+            # window 11 (dimension 2048), past the largest of the benchmark's mix
             space = shift.word_space(n + 1)
             present = shift.coordinate_indicator(n + 1, [n])
             past = shift.coordinate_indicator(n + 1, range(n))

@@ -513,3 +513,23 @@ def test_an_oversized_markov_window_is_refused_before_any_window_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_shannon_of_a_window_12_measure_keeps_one_array_beside_the_live_weights():
+    import tracemalloc
+
+    from qde.classical import _shannon
+
+    p = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.4, 0.4, 0.2]])
+    measure = SymbolicShift(p).cylinder_measures(12)  # 3**12 words, most of measure 0
+    live = measure[measure > defaults.WEIGHT_FLOOR]
+    assert live.size < measure.size
+    tracemalloc.start()
+    try:
+        got = _shannon(measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == float(-np.sum(live * np.log(live)))  # the product form, bit for bit
+    # the live weights and their log terms; a separate product would make it 3x
+    assert peak < 2.1 * live.nbytes

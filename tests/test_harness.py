@@ -213,6 +213,16 @@ def test_run_verify_task_small():
     assert not record.has_violation
 
 
+def test_an_explicit_negative_seed_fails_closed_at_its_path():
+    raw = {"schema_version": "1", "task": "verify", "params": {"dims": [2], "trials": 1}}
+    spec = parse_spec(json.dumps(raw))
+    message = r"^seed: expected an integer of at least 0, got -1$"
+    with pytest.raises(SpecFormatError, match=message) as err:
+        run_task(spec, seed=-1)
+    assert err.value.path == "seed" and err.value.exit_code == 2
+    assert run_task(spec, seed=0).results["all_passed"]
+
+
 def test_record_determinism():
     raw = json.dumps(info_spec())
     a = run_task(parse_spec(raw), seed=5)

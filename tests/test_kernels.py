@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qde.classical import SymbolicShift, embed_diagonal
+from qde.classical import FiniteSpace, FunctionPartition, SymbolicShift, embed_diagonal
 from qde.errors import DimensionMismatch, NotPositiveSemidefinite, ValidationFailure
 from qde import defaults, partitions
 from qde.linalg import BlockAlgebra
@@ -728,28 +728,92 @@ def test_diagonal_held_maps_fail_closed():
             KrausMap(flat)
 
 
+def _diagonal_stack(w):
+    return np.array([np.diag([math.sqrt(w), 0.5])], dtype=complex)
+
+
+def _unchecked_functions(values):
+    """A FunctionPartition holding `values` past its own unity check."""
+    zeta = object.__new__(FunctionPartition)
+    object.__setattr__(zeta, "values", np.array(values, dtype=float))
+    object.__setattr__(zeta, "labels", tuple(range(len(values))))
+    return zeta
+
+
 def test_a_weight_just_past_one_fails_on_every_construction_path(rng):
     """A unit image with top eigenvalue 1 + 2e-9 (past SUB_UNITALITY_TOL = 1e-9) fails
-    however the map is built; the same families at weight 1 pass."""
+    however the map is built, and a NaN weight fails as non-finite; the same
+    families at weight 1 pass."""
     u = random_unitary(rng, 2)
     paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     full = 0.5 * paulis @ u  # sum K^dag K = I with a full-rank Choi matrix
     choi_full, choi_one = partitions._choi(full[None]), partitions._choi(u[None, None])
     assert partitions._certified_cholesky(choi_full)[1].all()
     assert not partitions._certified_cholesky(choi_one)[1].any()
+    space = FiniteSpace(np.array([0.5, 0.5]))
     builds = {
         "dense": lambda w: [KrausMap((math.sqrt(w) * u,))],
         "diagonal": lambda w: [KrausMap((np.diag([math.sqrt(w), 0.5]),))],
         "stacked": lambda w: KrausMap._stacked([math.sqrt(w) * full], ["a"]),
+        # the diagonal blocks of a batch are checked together, the last one past 1
+        "stacked, diagonal": lambda w: KrausMap._stacked(
+            [_diagonal_stack(1.0), _diagonal_stack(w)], ["a", "b"]
+        ),
+        "stacked, diagonal beside dense": lambda w: KrausMap._stacked(
+            [full.copy(), _diagonal_stack(w)], ["a", "b"]
+        ),
+        "stacked, dense beside diagonal": lambda w: KrausMap._stacked(
+            [math.sqrt(w) * full, _diagonal_stack(1.0)], ["a", "b"]
+        ),
         "choi, full rank": lambda w: kraus_from_choi(w * choi_full, 2, 2, ["a"]),
         "choi, rank one": lambda w: kraus_from_choi(w * choi_one, 2, 2, ["a"]),
+        "embed_diagonal": lambda w: embed_diagonal(
+            space, _unchecked_functions([[math.sqrt(w)] * 2])
+        )[1].maps,
     }
     for path, build in builds.items():
-        (m,) = build(1.0)
-        assert abs(np.linalg.eigvalsh(m.unit_image)[-1] - 1.0) < 1e-14, path
+        for m in build(1.0):
+            assert abs(np.linalg.eigvalsh(m.unit_image)[-1] - 1.0) < 1e-14, path
         with pytest.raises(ValidationFailure, match="not sub-unital"):
             build(1.0 + 2 * defaults.SUB_UNITALITY_TOL)
+        with pytest.raises(ValidationFailure, match="non-finite"):
+            build(math.nan)
+    mixed = builds["stacked, diagonal beside dense"](1.0)
+    assert mixed[0]._diagonals is None and mixed[1]._diagonals is not None
+    assert all(m._diagonals is not None for m in builds["stacked, diagonal"](1.0))
     assert KrausMap((np.diag([1.0, 0.5]),))._diagonals is not None
+    # a valid function table cannot reach the map's check: its own unity check refuses it
+    with pytest.raises(ValidationFailure, match="squares do not sum to one"):
+        FunctionPartition(np.array([[math.sqrt(1.0 + 2 * defaults.SUB_UNITALITY_TOL)] * 2]))
+
+
+def test_an_overflowing_unit_image_fails_closed():
+    """Finite Kraus entries whose unit image overflows to inf, or to NaN through
+    inf - inf, are not sub-unital."""
+    cases = {
+        "inf": np.diag([1e200, 0.5]),  # diagonal: the weight 1e400 is inf
+        "nan": np.array([[1e200, 1e200], [1e200, -1e200]]),  # dense: inf - inf
+    }
+    for top, k in cases.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationFailure, match=f"not sub-unital: max eigenvalue {top}$"):
+                KrausMap((k,))
+            with pytest.raises(ValidationFailure, match=f"max eigenvalue {top}$"):
+                KrausMap._stacked([np.array([k], dtype=complex), _diagonal_stack(1.0)], ["a", "b"])
+
+
+def test_validating_a_large_diagonal_map_builds_no_dense_unit_image():
+    rows = np.sqrt(np.linspace(0.0, 1.0, 2048))[None].astype(complex)
+    KrausMap(_Diagonals(rows.copy()))  # warm-up: first-call allocations are not the check's
+    tracemalloc.start()
+    try:
+        m = KrausMap(_Diagonals(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense real diag(weights) alone would take 2048 * 2048 * 8 bytes = 32 MB
+    assert peak < 0.25e6
+    assert "unit_image" not in vars(m) and m._diagonal_weights[-1] == 1.0
 
 
 def test_composing_the_largest_markov_window_keeps_no_dense_stacks():
@@ -765,8 +829,9 @@ def test_composing_the_largest_markov_window_keeps_no_dense_stacks():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # dense diagonal stacks and unit images of the 128 composites would take about 48 MB
-    assert grown < 4 * 2**20
+    # the 128 composites hold their diagonals, about 0.47 MB; dense diagonal
+    # stacks and unit images would take about 48 MB
+    assert grown < 2**20
     first, second = q_present.maps[1], q_past.maps[5]
     m = joint.maps[q_past.size + 5]
     assert m.label == (first.label, second.label) and len(m.kraus) == 1
