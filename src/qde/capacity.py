@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import defaults
-from .dynamics import information
+from .dynamics import _information, information
 from .errors import (
     DimensionMismatch,
     NotPositiveSemidefinite,
@@ -150,9 +150,9 @@ def information_gain(
     phi: StateFunctional, code: Partition, eta: Partition
 ) -> tuple[float, float]:
     """(I, Ic): total and classical information the measurement gains about the code."""
-    base = information(phi, code)
-    after = code.total_predual(phi)
-    return _gain_from_parts(base, after, phi, code, eta)
+    phi.require_normalized()
+    images = code.branch_preduals(phi)
+    return _gain_from_parts(_information(code, images), total_functional(images), phi, code, eta)
 
 
 def _gain_from_weights(base, q: list) -> tuple[float, float]:
@@ -194,14 +194,13 @@ def _rotated_weights(branches: np.ndarray, u: np.ndarray) -> list:
 
 
 def _bloch_weights(branches: np.ndarray):
-    """params -> the rows q_i of `projective_measurement(params, hermitian_basis(2))`
+    """(x, y) -> the rows q_i of `projective_measurement((x, y, 0), hermitian_basis(2))`
     on the 2 x 2 branches B_i, in closed form over Python floats.
 
     The basis is sigma/sqrt(2), so exp(iH) rotates z to the Bloch vector n of
-    outcome 0 by the angle -sqrt(2)|params| about params/|params|.  With
-    k = sin(|params|/sqrt(2)) params/|params|, c = cos(|params|/sqrt(2)) and
-    r = kx^2 + ky^2 = (1 - nz)/2, that is n = (2(kx kz - c ky), 2(c kx + ky kz),
-    1 - 2r), and
+    outcome 0 by the angle -sqrt(2)|p| about the in-plane axis p/|p|, p = (x, y).
+    With k = sin(|p|/sqrt(2)) p/|p|, c = cos(|p|/sqrt(2)) and
+    r = kx^2 + ky^2 = (1 - nz)/2, that is n = (-2c ky, 2c kx, 1 - 2r), and
         q_i0 = (1 - r) B00 + r B11 + nx Re B01 - ny Im B01,
         q_i1 = r B00 + (1 - r) B11 - nx Re B01 + ny Im B01,
     which at n = z are B00 and B11 exactly, as the eigh route gives them.
@@ -212,13 +211,13 @@ def _bloch_weights(branches: np.ndarray):
     ]
 
     def weights(params):
-        x, y, z = params.tolist()
-        norm = math.sqrt(x * x + y * y + z * z)
+        x, y = params.tolist()
+        norm = math.sqrt(x * x + y * y)
         half = norm / math.sqrt(2.0)
         scale = math.sin(half) / norm if norm else 0.0
-        c, kx, ky, kz = math.cos(half), scale * x, scale * y, scale * z
+        c, kx, ky = math.cos(half), scale * x, scale * y
         r = kx * kx + ky * ky
-        nx, ny = 2.0 * (kx * kz - c * ky), 2.0 * (c * kx + ky * kz)
+        nx, ny = -2.0 * (c * ky), 2.0 * (c * kx)
         rows = []
         for b00, b11, re, im in entries:
             e = nx * re - ny * im
@@ -226,26 +225,6 @@ def _bloch_weights(branches: np.ndarray):
         return rows
 
     return weights
-
-
-def _objective(base, branches: np.ndarray, basis: np.ndarray, index: int):
-    """The search objective: params -> the gain (I for index 0, Ic for 1) of the
-    code then `projective_measurement(params, basis)`, in weight form.
-
-    A qubit output takes its weights from the Bloch vector in closed form; a
-    larger one from `_rotation`, one eigh of the generator per step.
-    """
-    if basis.shape[-1] == 2:
-        weights = _bloch_weights(branches)
-    else:
-
-        def weights(params):
-            return _rotated_weights(branches, _rotation(params, basis))
-
-    def objective(params):
-        return _gain_from_weights(base, weights(params))[index]
-
-    return objective
 
 
 def _generator(params: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -372,19 +351,29 @@ def _optimize(
             f"block length {n} rejected (output dimension {code.dim_out**n})"
         )
     phi_n = state_power(phi, n)
+    phi_n.require_normalized()
     code_n = partition_power(code, n)
-    base = information(phi_n, code_n)
+    images = code_n.branch_preduals(phi_n)
+    base = _information(code_n, images)
+    branches = np.stack([b.density for b in images])
     basis = np.array(hermitian_basis(code_n.dim_out))
     index = 0 if which == "information" else 1
-    images = code_n.branch_preduals(phi_n)
-    objective = _objective(base, np.stack([b.density for b in images]), basis, index)
     if code_n.dim_out == 2:
         # z is a flat direction (in-plane rotations reach every Bloch vector): step on (x, y)
-        cfg = replace(config, extra_initial_points=tuple(map(_in_plane, config.extra_initial_points)))
-        value, xy, converged = _search(lambda xy: objective(np.append(xy, 0.0)), 2, cfg)
-        params = np.append(xy, 0.0)
+        weights = _bloch_weights(branches)
+        seeds = tuple(map(_in_plane, config.extra_initial_points))
+        config = replace(config, extra_initial_points=seeds)
+        nparams = 2
     else:
-        value, params, converged = _search(objective, len(basis), config)
+
+        def weights(params):
+            return _rotated_weights(branches, _rotation(params, basis))
+
+        nparams = len(basis)
+    value, params, converged = _search(
+        lambda p: _gain_from_weights(base, weights(p))[index], nparams, config
+    )
+    params = np.append(params, np.zeros(len(basis) - nparams))  # a qubit winner as (x, y, 0)
     # the certificate: the winner evaluated once through the full library path
     after = total_functional(images)
     gains = _gain_from_parts(base, after, phi_n, code_n, projective_measurement(params, basis))
@@ -465,6 +454,8 @@ def capacity_rate(
     """
     if n_max < 1:
         raise ValidationFailure(f"block length must be at least 1, got {n_max}")
+    if n_max > 2:  # refused before any search runs, at the first level past 2
+        raise ResourceCapExceeded(f"block length 3 rejected (output dimension {code.dim_out**3})")
     reports = {}
     prev_params = None
     for n in range(1, n_max + 1):

@@ -55,9 +55,12 @@ class InformationReport:
 def information(phi: StateFunctional, zeta: Partition) -> InformationReport:
     """Information gained by the partition zeta in the state phi, in nats."""
     phi.require_normalized()
-    if phi.dim != zeta.dim_in:
-        raise DimensionMismatch(f"state dimension {phi.dim} vs partition input {zeta.dim_in}")
-    branches = zeta.branch_preduals(phi)
+    return _information(zeta, zeta.branch_preduals(phi))
+
+
+def _information(zeta: Partition, branches) -> InformationReport:
+    """`information` from the branch images of zeta in a normalized state,
+    `zeta.branch_preduals(phi)`, for callers that read the images again."""
     engine = DivergenceEngine(total_functional(branches))
 
     weights = {}
@@ -97,8 +100,6 @@ def information_via_direct_sum(phi: StateFunctional, zeta: Partition) -> float:
     the information.  Used as a cross-check oracle for `information`.
     """
     phi.require_normalized()
-    if phi.dim != zeta.dim_in:
-        raise DimensionMismatch(f"state dimension {phi.dim} vs partition input {zeta.dim_in}")
     branches = zeta.branch_preduals(phi)
     total = total_functional(branches).density
     algebra = BlockAlgebra(tuple(zeta.dim_out for _ in branches))

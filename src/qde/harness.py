@@ -228,6 +228,7 @@ def _partition(obj, path: str) -> Partition:
     if not isinstance(obj, list) or not obj:
         raise _fail(path, "expected a nonempty list of Kraus families")
     maps = []
+    keys = set()  # records key outcomes by str(label), so 1 and "1" would collide
     for i, entry in enumerate(obj):
         label = i
         kraus_obj = entry
@@ -239,6 +240,10 @@ def _partition(obj, path: str) -> Partition:
             kraus_obj = entry.get("kraus")
             if kraus_obj is None:
                 raise _fail(f"{path}[{i}]", "map object needs a 'kraus' list")
+        key = str(label)
+        if key in keys:
+            raise _fail(f"{path}[{i}].label", f"label {label!r} repeats the record key {key!r}")
+        keys.add(key)
         if not isinstance(kraus_obj, list) or not kraus_obj:
             raise _fail(f"{path}[{i}]", "expected a nonempty list of Kraus matrices")
         kraus = tuple(

@@ -108,11 +108,19 @@ def random_function_partition(
 # the trial runner
 
 
-def _family(dims=None):
+# name -> (suite, tolerance, trial cap), in definition order, which is the order
+# `verify` runs and prints them; the capped suites and the finite-space ones
+# draw from their own dimensions and ignore dims
+_FAMILIES: dict = {}
+
+
+def _family(name: str, tolerance: float = 1e-8, cap: int | None = None, dims=None):
     """Turn a trial `(rng, dims, t)`, which draws one instance and returns how far
     it violates its inequality (or a sequence of such residuals), into a suite
-    `(rng, dims=dims, trials=200)`.  The suite returns the worst residual: 0 when
-    none is positive, inf when one is NaN."""
+    `(rng, dims=dims, trials=200)`, and register it as the verify family `name`:
+    it passes when its worst residual over at most `cap` trials is at most
+    `tolerance`.  The suite returns the worst residual: 0 when none is
+    positive, inf when one is NaN."""
 
     def build(trial):
         def suite(rng, dims=dims, trials=200) -> float:
@@ -124,8 +132,8 @@ def _family(dims=None):
                 worst = max(worst, residual)
             return worst
 
-        suite.__name__ = suite.__qualname__ = trial.__name__
         suite.__doc__ = trial.__doc__
+        _FAMILIES[name] = (suite, tolerance, cap)
         return suite
 
     return build
@@ -135,7 +143,7 @@ def _family(dims=None):
 # relative-entropy suites
 
 
-@_family(dims=(2, 3, 4, 5, 6))
+@_family("lower_bound", dims=(2, 3, 4, 5, 6))
 def lower_bound_suite(rng, dims, t):
     """Half squared trace distance never exceeds the relative entropy."""
     d = dims[t % len(dims)]
@@ -146,7 +154,7 @@ def lower_bound_suite(rng, dims, t):
 _LAMBDAS = np.arange(0.1, 0.95, 0.1)
 
 
-@_family(dims=(2, 3, 4))
+@_family("joint_convexity", dims=(2, 3, 4))
 def joint_convexity_suite(rng, dims, t):
     d = dims[t % len(dims)]
     a1, a2 = random_state(rng, d), random_state(rng, d)
@@ -156,7 +164,7 @@ def joint_convexity_suite(rng, dims, t):
     return mixed - ((1 - lam) * relative_entropy(a1, b1) + lam * relative_entropy(a2, b2))
 
 
-@_family(dims=(2, 3, 4))
+@_family("monotonicity", dims=(2, 3, 4))
 def monotonicity_suite(rng, dims, t):
     """Relative entropy contracts under precomposition with unital CP maps."""
     d_in = dims[t % len(dims)]
@@ -167,7 +175,7 @@ def monotonicity_suite(rng, dims, t):
     return relative_entropy(predual_apply(tau, a), predual_apply(tau, b)) - relative_entropy(a, b)
 
 
-@_family(dims=(2, 3, 4))
+@_family("donald_identity", dims=(2, 3, 4))
 def donald_suite(rng, dims, t):
     d = dims[t % len(dims)]
     phi = random_state(rng, d)
@@ -175,7 +183,7 @@ def donald_suite(rng, dims, t):
     return donald_residual(pieces, phi)
 
 
-@_family(dims=(2, 3, 4))
+@_family("scaling_identity", tolerance=1e-9, dims=(2, 3, 4))
 def scaling_identity_suite(rng, dims, t):
     d = dims[t % len(dims)]
     omega, phi = random_state(rng, d), random_state(rng, d)
@@ -184,7 +192,7 @@ def scaling_identity_suite(rng, dims, t):
     return abs(lhs - (lam * math.log(lam) + lam * relative_entropy(omega, phi)))
 
 
-@_family(dims=(2, 3))
+@_family("decomposition_gap", dims=(2, 3))
 def decomposition_gap_suite(rng, dims, t):
     """Average divergence of a decomposition from its sum stays below the entropy."""
     d = dims[t % len(dims)]
@@ -199,7 +207,7 @@ def decomposition_gap_suite(rng, dims, t):
     return -decomposition_entropy_gap(pieces, phi)
 
 
-@_family(dims=(2, 3, 4))
+@_family("tracial_commutant", dims=(2, 3, 4))
 def tracial_commutant_suite(rng, dims, t):
     """For the tracial state, conditioning by a commutant operator has entropy
     tr(a ln a)/d; exact in finite dimensions."""
@@ -225,13 +233,13 @@ def _random_instance(rng, dims):
     return phi, zeta
 
 
-@_family(dims=(2, 3, 4))
+@_family("direct_sum_agreement", dims=(2, 3, 4))
 def direct_sum_agreement_suite(rng, dims, t):
     phi, zeta = _random_instance(rng, dims)
     return abs(information(phi, zeta).total_H - information_via_direct_sum(phi, zeta))
 
 
-@_family(dims=(2, 3, 4))
+@_family("split_identity", dims=(2, 3, 4))
 def split_identity_suite(rng, dims, t):
     phi, zeta = _random_instance(rng, dims)
     return information(phi, zeta).split_residual
@@ -248,11 +256,11 @@ def _random_triple(rng, dims):
     return phi, zeta, eta, beta
 
 
-def _split_term_suite(field: str):
-    """The suite bounding the joint `field` of an InformationReport by the
-    first-step plus conditioned second-step values."""
+def _split_term_suite(name: str, field: str):
+    """The family `name` bounding the joint `field` of an InformationReport by
+    the first-step plus conditioned second-step values."""
 
-    @_family(dims=(2, 3, 4))
+    @_family(name, dims=(2, 3, 4))
     def suite(rng, dims, t):
         phi, zeta, eta, _ = _random_triple(rng, dims)
         joint = getattr(information(phi, compose(zeta, eta)), field)
@@ -263,15 +271,11 @@ def _split_term_suite(field: str):
     return suite
 
 
-# joint information never exceeds first-step plus conditioned second-step; the
-# same holds for its Shannon part (joint weights against the product of the two
-# marginals) and for its divergence part
-subadditivity_suite = _split_term_suite("total_H")
-classical_term_suite = _split_term_suite("classical_Hc")
-quantum_term_suite = _split_term_suite("quantum_Hq")
+# joint information never exceeds first-step plus conditioned second-step
+subadditivity_suite = _split_term_suite("subadditivity", "total_H")
 
 
-@_family(dims=(2, 3, 4))
+@_family("conditional_monotonicity", dims=(2, 3, 4))
 def conditional_monotonicity_suite(rng, dims, t):
     """Conditioning on a longer future never increases the conditional information."""
     phi, zeta, eta, beta = _random_triple(rng, dims)
@@ -279,7 +283,13 @@ def conditional_monotonicity_suite(rng, dims, t):
     return longer - conditional_information(phi, zeta, eta)
 
 
-@_family(dims=(2, 3, 4))
+# the same bound holds for the Shannon part of the joint information (joint
+# weights against the product of the two marginals) and for its divergence part
+classical_term_suite = _split_term_suite("classical_term", "classical_Hc")
+quantum_term_suite = _split_term_suite("quantum_term", "quantum_Hq")
+
+
+@_family("conjugation_invariance", dims=(2, 3, 4))
 def conjugation_invariance_suite(rng, dims, t):
     """Information is unchanged by automorphisms fixing the state."""
     d = dims[t % len(dims)]
@@ -290,7 +300,7 @@ def conjugation_invariance_suite(rng, dims, t):
     return abs(a - information(phi, conjugate(theta, zeta)).total_H)
 
 
-@_family()
+@_family("an_certificate", cap=50)
 def an_certificate_suite(rng, dims, t):
     """Monotone, nonnegative, information-bounded conditional sequences on random
     invariant systems of dimensions 2 and 3 in turn."""
@@ -319,7 +329,7 @@ def _function_partitions(rng, count: int) -> list[FunctionPartition]:
     return [random_function_partition(rng, _POINTS, cells=2) for _ in range(count)]
 
 
-@_family()
+@_family("classical_refinement", cap=100)
 def classical_refinement_suite(rng, dims, t):
     """Joint information of two partitions dominates each single one."""
     space = _random_space(rng)
@@ -328,7 +338,7 @@ def classical_refinement_suite(rng, dims, t):
     return classical_information(space, zeta) - joint
 
 
-@_family()
+@_family("classical_conditional_monotonicity", cap=100)
 def classical_conditional_monotonicity_suite(rng, dims, t):
     space = _random_space(rng)
     zeta, eta, beta = _function_partitions(rng, 3)
@@ -336,7 +346,7 @@ def classical_conditional_monotonicity_suite(rng, dims, t):
     return longer - classical_conditional(space, zeta, eta)
 
 
-@_family()
+@_family("classical_transport", tolerance=1e-9, cap=100)
 def classical_transport_suite(rng, dims, t):
     """Conditional information is unchanged by a measure-preserving permutation."""
     space = FiniteSpace.uniform(_POINTS)
@@ -346,14 +356,14 @@ def classical_transport_suite(rng, dims, t):
     return abs(classical_conditional(space, zeta, beta) - classical_conditional(space, *moved))
 
 
-@_family()
+@_family("classical_comparison", cap=100)
 def classical_comparison_suite(rng, dims, t):
     perm = rng.permutation(_POINTS)
     zeta, eta = _function_partitions(rng, 2)
     return partition_comparison_bound(FiniteSpace.uniform(_POINTS), perm, zeta, eta, 3).residual
 
 
-@_family()
+@_family("embedding_agreement", cap=100)
 def embedding_agreement_suite(rng, dims, t):
     """Classical quantities equal their diagonal-embedded quantum counterparts."""
     space = _random_space(rng)
@@ -382,39 +392,13 @@ class FamilyResult:
         return self.residual <= self.tolerance
 
 
-# (name, suite, tolerance, trial cap); the capped suites and the finite-space
-# ones draw from their own dimensions and ignore dims
-_SUITES = (
-    ("lower_bound", lower_bound_suite, 1e-8, None),
-    ("joint_convexity", joint_convexity_suite, 1e-8, None),
-    ("monotonicity", monotonicity_suite, 1e-8, None),
-    ("donald_identity", donald_suite, 1e-8, None),
-    ("scaling_identity", scaling_identity_suite, 1e-9, None),
-    ("decomposition_gap", decomposition_gap_suite, 1e-8, None),
-    ("tracial_commutant", tracial_commutant_suite, 1e-8, None),
-    ("direct_sum_agreement", direct_sum_agreement_suite, 1e-8, None),
-    ("split_identity", split_identity_suite, 1e-8, None),
-    ("subadditivity", subadditivity_suite, 1e-8, None),
-    ("conditional_monotonicity", conditional_monotonicity_suite, 1e-8, None),
-    ("classical_term", classical_term_suite, 1e-8, None),
-    ("quantum_term", quantum_term_suite, 1e-8, None),
-    ("conjugation_invariance", conjugation_invariance_suite, 1e-8, None),
-    ("an_certificate", an_certificate_suite, 1e-8, 50),
-    ("classical_refinement", classical_refinement_suite, 1e-8, 100),
-    ("classical_conditional_monotonicity", classical_conditional_monotonicity_suite, 1e-8, 100),
-    ("classical_transport", classical_transport_suite, 1e-9, 100),
-    ("classical_comparison", classical_comparison_suite, 1e-8, 100),
-    ("embedding_agreement", embedding_agreement_suite, 1e-8, 100),
-)
-
-
 def run_property_suite(dims=(2, 3, 4), trials: int = 200, seed: int = 0) -> dict:
     """Run every inequality family; returns {name: FamilyResult}."""
     dims = tuple(dims)
     if not dims:
         raise ValidationFailure("the property suite needs at least one dimension")
     results = {}
-    for name, fn, tol, cap in _SUITES:
+    for name, (fn, tol, cap) in _FAMILIES.items():
         count = trials if cap is None else min(trials, cap)
         residual = float(fn(np.random.default_rng(seed), dims, count))
         results[name] = FamilyResult(residual=residual, tolerance=tol, trials=count)

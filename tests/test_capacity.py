@@ -274,6 +274,20 @@ def test_block_cap_guard():
         optimize_Cn(unit_input_state(), orthogonal_ensemble(), 3, FAST)
 
 
+@pytest.mark.parametrize("n_max", [3, 10**9])
+def test_a_block_length_past_2_is_refused_before_any_search(monkeypatch, n_max):
+    import qde.capacity as cap
+
+    def no_search(*args):
+        raise AssertionError("a search ran before the block length was refused")
+
+    monkeypatch.setattr(cap, "_search", no_search)
+    # the message names the first refused level, so 10**9 builds no 2**(10**9)
+    first_refused = r"^block length 3 rejected \(output dimension 8\)$"
+    with pytest.raises(ResourceCapExceeded, match=first_refused):
+        capacity_rate(unit_input_state(), zero_plus_ensemble(), n_max=n_max, config=FAST)
+
+
 def test_fixed_list_family():
     # a given list of measurements is evaluated, not searched
     phi = unit_input_state()
@@ -327,15 +341,16 @@ def test_capacity_sweep_lower_bounds():
 
 def test_merged_report_computes_the_n1_code_information_once_per_search(monkeypatch):
     import qde.capacity
+    from qde.dynamics import information
 
-    information, gain_from_parts = qde.capacity.information, qde.capacity._gain_from_parts
+    branch_preduals, gain_from_parts = Partition.branch_preduals, qde.capacity._gain_from_parts
     inside_gain = []
     outside_calls = []
 
-    def counting_information(*args, **kwargs):
+    def counting_branch_preduals(*args, **kwargs):
         if not inside_gain:
             outside_calls.append(args)
-        return information(*args, **kwargs)
+        return branch_preduals(*args, **kwargs)
 
     def marked_gain(*args, **kwargs):
         inside_gain.append(True)
@@ -344,11 +359,12 @@ def test_merged_report_computes_the_n1_code_information_once_per_search(monkeypa
         finally:
             inside_gain.pop()
 
-    monkeypatch.setattr(qde.capacity, "information", counting_information)
+    monkeypatch.setattr(Partition, "branch_preduals", counting_branch_preduals)
     monkeypatch.setattr(qde.capacity, "_gain_from_parts", marked_gain)
     cfg = OptimizerConfig(restarts=1, max_iterations=5, seed=0)
     report = merged_capacity_report(unit_input_state(), zero_plus_ensemble(), 1, cfg)
-    # one base evaluation per search; H_upper reuses it
+    # one build per search feeds both the code information and the search's
+    # weights; H_upper reuses that information
     assert len(outside_calls) == 2
     assert report.H_upper == information(unit_input_state(), zero_plus_ensemble()).total_H
 
@@ -377,12 +393,33 @@ def _eigh_weight_gains(phi, code, params):
 
 
 def _objective_gains(phi, code, params):
-    """(I, Ic) of the objective `_optimize` builds: the Bloch form on a qubit output."""
+    """(I, Ic) of the weights `_optimize` searches, at the measurement of the orbit
+    parameters `params`: on a qubit output the closed form at `_in_plane(params)`,
+    as a three-parameter seed enters the search; on a larger one the eigh form."""
     import qde.capacity as cap
 
+    if code.dim_out != 2:
+        return _eigh_weight_gains(phi, code, params)
     base, branches = _base_and_branches(phi, code)
-    basis = np.array(hermitian_basis(code.dim_out))
-    return tuple(cap._objective(base, branches, basis, index)(params) for index in (0, 1))
+    return cap._gain_from_weights(base, cap._bloch_weights(branches)(cap._in_plane(params)))
+
+
+def _xyz_bloch_weights(branches, params):
+    """The rows q_i of the retired three-parameter closed form, the reference
+    for the (x, y) form: n = (2(kx kz - c ky), 2(c kx + ky kz), 1 - 2r) with
+    k = sin(|params|/sqrt(2)) params/|params| and c = cos(|params|/sqrt(2))."""
+    x, y, z = params.tolist()
+    norm = math.sqrt(x * x + y * y + z * z)
+    half = norm / math.sqrt(2.0)
+    scale = math.sin(half) / norm if norm else 0.0
+    c, kx, ky, kz = math.cos(half), scale * x, scale * y, scale * z
+    r = kx * kx + ky * ky
+    nx, ny = 2.0 * (kx * kz - c * ky), 2.0 * (c * kx + ky * kz)
+    rows = []
+    for b00, b01, b11 in branches[:, [0, 0, 1], [0, 1, 1]].tolist():
+        b00, b11, e = b00.real, b11.real, nx * b01.real - ny * b01.imag
+        rows.append([(1.0 - r) * b00 + r * b11 + e, r * b00 + (1.0 - r) * b11 - e])
+    return rows
 
 
 def _library_gains(phi, code, params):
@@ -485,7 +522,7 @@ def test_a_joint_weight_at_the_floor_contributes_nothing_on_both_gain_paths(mult
     eta = z_measurement()
     assert information(phi, compose(code, eta)).weights[(0, 0)] == w
     # the qubit objective's weights at params = 0 are the diagonals, bit for bit
-    assert cap._bloch_weights(_base_and_branches(phi, code)[1])(np.zeros(3)) == q
+    assert cap._bloch_weights(_base_and_branches(phi, code)[1])(np.zeros(2)) == q
     a = [q[0][j] + q[1][j] for j in range(2)]
     kept = [x for row in q for x in row if x > defaults.WEIGHT_FLOOR]
     assert len(kept) == 4 - (w == defaults.WEIGHT_FLOOR)
@@ -510,15 +547,20 @@ def test_the_qubit_objective_matches_the_eigh_weight_form(rng, norm):
         (mixed, dephasing_channel(0.25)),
     ]
     for phi, code in zoo:
-        _, branches = _base_and_branches(phi, code)
+        base, branches = _base_and_branches(phi, code)
         bloch = cap._bloch_weights(branches)
         for _ in range(10):
             direction = rng.normal(size=3)
             params = norm * direction / np.linalg.norm(direction)
             eigh_form = cap._rotated_weights(branches, cap._rotation(params, basis))
-            assert np.abs(np.subtract(bloch(params), eigh_form)).max() <= 1e-13
-            gains = _objective_gains(phi, code, params)
-            assert gains == pytest.approx(_eigh_weight_gains(phi, code, params), abs=1e-13)
+            xyz_form = _xyz_bloch_weights(branches, params)
+            assert np.abs(np.subtract(xyz_form, eigh_form)).max() <= 1e-13
+            # in the plane the (x, y) form is the three-parameter one, bit for bit
+            xy = norm * direction[:2] / np.linalg.norm(direction[:2])
+            in_plane = np.append(xy, 0.0)
+            assert bloch(xy) == _xyz_bloch_weights(branches, in_plane)
+            gains = cap._gain_from_weights(base, bloch(xy))
+            assert gains == pytest.approx(_eigh_weight_gains(phi, code, in_plane), abs=1e-13)
 
 
 def test_a_qubit_search_objective_runs_no_eigensolve(monkeypatch):

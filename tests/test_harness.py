@@ -584,6 +584,40 @@ def test_a_nan_trial_residual_fails_its_family_and_the_verify_record(monkeypatch
     assert json.loads(record.to_json())["results"]["max_residual"] == "inf"
 
 
+def test_every_verify_family_keeps_its_name_tolerance_and_trial_count(monkeypatch):
+    import qde.properties
+    from qde.properties import run_property_suite
+
+    # every suite returns 0 at once: this reads the registry and the trial caps
+    registry = qde.properties._FAMILIES
+    monkeypatch.setattr(qde.properties, "_FAMILIES", {
+        name: (lambda rng, dims, trials: 0.0, tol, cap) for name, (_, tol, cap) in registry.items()
+    })
+    results = run_property_suite(trials=200)
+    assert [(name, r.tolerance, r.trials) for name, r in results.items()] == [
+        ("lower_bound", 1e-8, 200),
+        ("joint_convexity", 1e-8, 200),
+        ("monotonicity", 1e-8, 200),
+        ("donald_identity", 1e-8, 200),
+        ("scaling_identity", 1e-9, 200),
+        ("decomposition_gap", 1e-8, 200),
+        ("tracial_commutant", 1e-8, 200),
+        ("direct_sum_agreement", 1e-8, 200),
+        ("split_identity", 1e-8, 200),
+        ("subadditivity", 1e-8, 200),
+        ("conditional_monotonicity", 1e-8, 200),
+        ("classical_term", 1e-8, 200),
+        ("quantum_term", 1e-8, 200),
+        ("conjugation_invariance", 1e-8, 200),
+        ("an_certificate", 1e-8, 50),
+        ("classical_refinement", 1e-8, 100),
+        ("classical_conditional_monotonicity", 1e-8, 100),
+        ("classical_transport", 1e-9, 100),
+        ("classical_comparison", 1e-8, 100),
+        ("embedding_agreement", 1e-8, 100),
+    ]
+
+
 def test_property_suite_without_dimensions_fails_closed():
     from qde.errors import ValidationFailure
     from qde.properties import run_property_suite
@@ -784,6 +818,29 @@ def test_cli_bad_unitary_and_empty_lists_exit_2_at_their_path(tmp_path, capsys, 
     assert captured.err.startswith(f"error: {path}:")
 
 
+@pytest.mark.parametrize(
+    "partition, path",
+    [
+        ([{"label": 1, "kraus": _Z_MAPS[0]}, {"label": "1", "kraus": _Z_MAPS[1]}],
+         "partitions.z[1].label"),
+        ({"maps": [{"label": "1", "kraus": _Z_MAPS[0]}, {"label": 1, "kraus": _Z_MAPS[1]}]},
+         "partitions.z.maps[1].label"),
+        ([{"label": "1", "kraus": _Z_MAPS[0]}, _Z_MAPS[1]], "partitions.z[1].label"),
+        ([{"label": 1.5, "kraus": _Z_MAPS[0]}, {"label": "1.5", "kraus": _Z_MAPS[1]}],
+         "partitions.z[1].label"),
+    ],
+    ids=["number-then-string", "object-form", "index-label", "float-then-string"],
+)
+def test_cli_labels_of_one_record_key_exit_2_at_the_later_label(tmp_path, capsys, partition, path):
+    # an info record keys its weights by str(label): both outcomes would share one key
+    spec_path = tmp_path / "labels.json"
+    spec_path.write_text(json.dumps(dict(info_spec(), partitions={"z": partition}, params={})))
+    code, captured = _cli_in_process(["run", str(spec_path)], capsys)
+    assert code == 2
+    assert captured.err.startswith(f"error: {path}: label ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_one_outcome_partition_gets_the_two_outcome_depth_limit(tmp_path):
     raw = _dynent_params(N=10**9)
     raw["partitions"] = {"trivial": [[cm(np.eye(2))]]}
@@ -833,8 +890,9 @@ def test_code_channel_and_partition_give_the_same_record(code, state):
         _dynent_params(N=10**300),
         _capacity_params(restarts=10**7),
         _capacity_params(max_iterations=10**300),
+        _capacity_params(n=10**9),
     ],
-    ids=["dynent-N", "capacity-restarts", "capacity-max_iterations"],
+    ids=["dynent-N", "capacity-restarts", "capacity-max_iterations", "capacity-n"],
 )
 def test_huge_counts_hit_a_resource_cap_before_any_work(raw):
     with pytest.raises(ResourceCapExceeded):
