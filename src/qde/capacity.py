@@ -347,9 +347,7 @@ def _optimize(
             f"a capacity search needs an output dimension of at least 2, got {code.dim_out}"
         )
     if n > 2:
-        raise ResourceCapExceeded(
-            f"block length {n} rejected (output dimension {code.dim_out**n})"
-        )
+        raise ResourceCapExceeded(f"block length {n} rejected (at most 2)")
     phi_n = state_power(phi, n)
     phi_n.require_normalized()
     code_n = partition_power(code, n)

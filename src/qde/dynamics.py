@@ -14,6 +14,10 @@ functionals:
 Under an automorphism theta the sequence a_n = H_phi(zeta | zeta composed
 with its n past transports) is monotone nonincreasing and bounded by
 H_phi(zeta); its tail estimates the dynamical entropy of (theta, phi, zeta).
+A measurement word whose Kraus elements are all exactly 0 is dead: its
+branch is the zero matrix in every state, and every extension of it is dead
+too.  `an_sequence` drops dead words from the joins it extends; `refinement`
+keeps every word.
 """
 
 from __future__ import annotations
@@ -123,17 +127,15 @@ def conditional_information(phi: StateFunctional, zeta: Partition, eta: Partitio
     return joint - second
 
 
-def _past_joins(theta: Automorphism, zeta: Partition, depth: int):
-    """Yield past_n = past_{n-1} composed with theta^{-n}(zeta) for n = 1..depth.
+def _live(join: Partition) -> Partition:
+    """The join without its dead words: outcomes whose Kraus elements are all 0.
 
-    past_n is the join of the n past transports, earliest factor first; its
-    outcome labels nest: (i_1, i_2) at n = 2, ((i_1, i_2), i_3) at n = 3.
+    All-zero square elements are exactly diagonal, so a map held without
+    diagonals has a nonzero off-diagonal entry and is live.  A join with no
+    dead word is returned as it is, without a second unit-sum check.
     """
-    past = None
-    for n in range(1, depth + 1):
-        step = conjugate(theta.power(-n), zeta)
-        past = step if past is None else compose(past, step)
-        yield past
+    live = tuple(m for m in join.maps if m._diagonals is None or m._diagonals.any())
+    return join if len(live) == join.size else Partition(live)
 
 
 def _flat_word(label, n: int) -> tuple:
@@ -167,7 +169,9 @@ def refinement(theta: Automorphism, zeta: Partition, n: int) -> Partition:
         raise ResourceCapExceeded(
             f"refinement would enumerate more than {defaults.BRANCH_CAP} branches"
         )
-    *_, joint = _past_joins(theta, zeta, n)
+    joint = conjugate(theta.power(-1), zeta)
+    for k in range(2, n + 1):  # every word kept, dead ones included
+        joint = compose(joint, conjugate(theta.power(-k), zeta))
     return Partition(tuple(m.relabel(_flat_word(m.label, n)) for m in joint.maps))
 
 
@@ -220,6 +224,10 @@ def an_sequence(
     H_phi(theta^n(zeta) | theta^{n-1}(zeta) ... zeta) is computed as well and
     must agree within 1e-8.  Requires finite information; a non-invariant phi
     only triggers a warning since the definition still evaluates.
+
+    Both joins drop their dead words after each compose.  This is exact: a
+    dead word's branch is the zero matrix, which adds +0.0 to the mean output
+    and, at weight 0, nothing to either information.
     """
     if zeta.dim_in != zeta.dim_out:
         raise DimensionMismatch("dynamics needs measurements on a single algebra")
@@ -242,12 +250,15 @@ def an_sequence(
         )
 
     values = []
+    past = None  # theta^{-1}(zeta) composed ... composed theta^{-n}(zeta)
     transported = zeta  # theta^{n-1}(zeta) composed ... composed zeta
-    for n, past in enumerate(_past_joins(theta, zeta, depth), start=1):
+    for n in range(1, depth + 1):
+        step = conjugate(theta.power(-n), zeta)
+        past = step if past is None else _live(compose(past, step))
         a_n = conditional_information(phi, zeta, past)
         if invariant:
             if n > 1:
-                transported = compose(conjugate(theta.power(n - 1), zeta), transported)
+                transported = _live(compose(conjugate(theta.power(n - 1), zeta), transported))
             b_n = conditional_information(phi, conjugate(theta.power(n), zeta), transported)
             if abs(a_n - b_n) > 1e-8:
                 raise PropertyViolation(

@@ -274,6 +274,20 @@ def test_block_cap_guard():
         optimize_Cn(unit_input_state(), orthogonal_ensemble(), 3, FAST)
 
 
+@pytest.mark.parametrize("search", [optimize_Cn, optimize_Dn, merged_capacity_report])
+def test_a_huge_block_length_in_a_direct_search_call_hits_the_resource_cap(monkeypatch, search):
+    import qde.capacity as cap
+
+    def no_search(*args):
+        raise AssertionError("a search ran before the block length was refused")
+
+    monkeypatch.setattr(cap, "_search", no_search)
+    # the message names the rule, not dim_out**n: 2**(10**6) has more digits
+    # than Python converts to a string
+    with pytest.raises(ResourceCapExceeded, match=r"^block length 1000000 rejected \(at most 2\)$"):
+        search(unit_input_state(), orthogonal_ensemble(), 10**6, FAST)
+
+
 @pytest.mark.parametrize("n_max", [3, 10**9])
 def test_a_block_length_past_2_is_refused_before_any_search(monkeypatch, n_max):
     import qde.capacity as cap

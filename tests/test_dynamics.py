@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qde import defaults
 from qde.capacity import proportional_code_channel
+from qde.classical import FiniteSpace, FunctionPartition, permutation_entropy_sequence
 from qde.dynamics import (
     admissibility_check,
     an_sequence,
@@ -17,6 +19,7 @@ from qde.dynamics import (
 from qde.errors import DimensionMismatch, ResourceCapExceeded, ValidationFailure
 from qde.partitions import (
     Automorphism,
+    KrausMap,
     Partition,
     compose,
     pinching_invariant_partition,
@@ -444,3 +447,92 @@ def test_rank_one_projective_partitions_generate_no_entropy(rng, d):
     seq = an_sequence(phi, Automorphism(u), _rank_one_projective(rng, d), 5)
     assert seq.depth == 5
     assert all(abs(v) <= 1e-12 for v in seq.values)
+
+
+# --- dead words ---------------------------------------------------------------
+
+
+def _recording_compose(monkeypatch):
+    """Replaces the `compose` that qde.dynamics calls by one that records the
+    outcome counts of its two arguments and the dead words of its result."""
+    import qde.dynamics as dynamics
+
+    calls = []
+
+    def recording(zeta, eta):
+        joint = compose(zeta, eta)
+        calls.append((zeta.size, eta.size, sum(not np.any(m.kraus) for m in joint.maps)))
+        return joint
+
+    monkeypatch.setattr(dynamics, "compose", recording)
+    return calls
+
+
+# the deepest a_n of a two-outcome partition: 2**(N + 1) <= BRANCH_CAP
+CAP_DEPTH = defaults.BRANCH_CAP.bit_length() - 2
+
+
+@pytest.mark.parametrize("depth", [7, CAP_DEPTH])
+@pytest.mark.parametrize("d", [5, 8])
+def test_a_permutation_matches_the_classical_layer_on_at_most_d_words(rng, monkeypatch, d, depth):
+    """A permutation moves a subset-projector partition to subset projectors,
+    so a join has at most d live words, one per point; the others are dead.
+    The values must match the classical sequence of the same permutation and
+    indicators, and every join that a_n extends, which compose receives,
+    must hold at most d words."""
+    perm = rng.permutation(d)
+    u = np.zeros((d, d), dtype=complex)
+    u[perm, np.arange(d)] = 1.0
+    mu = rng.random(d) + 0.05
+    for _ in range(d):  # constant on the cycles of perm, so the state is invariant
+        mu = np.maximum(mu, mu[perm])
+    mu /= mu.sum()
+    subset = np.zeros(d)
+    subset[rng.choice(d, size=int(rng.integers(1, d)), replace=False)] = 1.0
+    expected = permutation_entropy_sequence(
+        FiniteSpace(mu), perm, FunctionPartition(np.array([subset, 1.0 - subset])), depth
+    )
+    zeta = vn_partition([np.diag(subset), np.diag(1.0 - subset)])
+    calls = _recording_compose(monkeypatch)
+    seq = an_sequence(StateFunctional.diagonal(mu), Automorphism(u), zeta, depth)
+    assert list(seq.values) == pytest.approx(list(expected.values), abs=1e-10)
+    # the past join, a_n's conditional and the transported pair at each level past 1
+    assert len(calls) == 4 * depth - 2
+    assert max(max(first, second) for first, second, _ in calls) <= d
+    assert any(dead for *_, dead in calls)  # compose itself keeps the dead words
+
+
+NILPOTENT = [[np.array([[0, 1], [0, 0]], dtype=complex)], [np.array([[0, 0], [1, 0]], dtype=complex)]]
+
+
+@pytest.mark.parametrize(
+    "unitary, rho",
+    [(np.eye(2), np.diag([0.7, 0.3])), (SX, np.array([[0.5, 0.2], [0.2, 0.5]]))],
+    ids=["identity", "sigma_x"],
+)
+def test_dead_words_of_a_dense_family_are_dropped_from_a_n_and_kept_by_refinement(
+    monkeypatch, unitary, rho
+):
+    """{|0><1|}, {|1><0|}: a word with two equal letters in a row, after the
+    transport, has the Kraus product 0, so two of the 2**n words are live."""
+    zeta = Partition(tuple(KrausMap(tuple(fam)) for fam in NILPOTENT))
+    theta, phi = Automorphism(unitary), StateFunctional.from_density(rho.astype(complex))
+    for n in range(1, 7):
+        ref = refinement(theta, zeta, n)
+        assert len(ref.maps) == 2**n
+        for m in ref.maps:
+            product = np.eye(2)
+            for k, letter in enumerate(m.label, start=1):
+                v = np.linalg.matrix_power(dag(unitary), k)
+                product = v @ NILPOTENT[letter][0] @ dag(v) @ product
+            dead = not product.any()
+            assert dead == (not np.any(m.kraus))
+            if dead:
+                assert predual_apply(m, phi).weight == 0.0
+        assert sum(bool(np.any(m.kraus)) for m in ref.maps) == 2
+    calls = _recording_compose(monkeypatch)
+    seq = an_sequence(phi, theta, zeta, depth=6)
+    assert list(seq.values) == pytest.approx(brute_force_an(rho, unitary, NILPOTENT, 6), abs=1e-10)
+    assert len(calls) == 4 * 6 - 2
+    assert max(max(first, second) for first, second, _ in calls) == 2
+    assert any(dead for *_, dead in calls)
