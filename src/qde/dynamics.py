@@ -26,6 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import defaults
 from .errors import (
     DimensionMismatch,
@@ -62,38 +64,46 @@ def information(phi: StateFunctional, zeta: Partition) -> InformationReport:
     return _information(zeta, zeta.branch_preduals(phi))
 
 
+_ROW_BYTES = 1 << 15  # float64 bytes per chunk of branch rows on an all-1-block algebra
+
+
 def _information(zeta: Partition, branches) -> InformationReport:
     """`information` from the branch images of zeta in a normalized state,
-    `zeta.branch_preduals(phi)`, for callers that read the images again."""
-    engine = DivergenceEngine(total_functional(branches))
+    `zeta.branch_preduals(phi)`, for callers that read the images again.
 
-    weights = {}
-    h_total = 0.0
-    h_classical = 0.0
-    h_quantum = 0.0
+    Branches on one all-1-block algebra take the engine's row kernel, on chunks
+    of at most `_ROW_BYTES` stacked from the branch list one at a time.
+    """
+    engine = DivergenceEngine(total_functional(branches))
+    weights = {m.label: branch.weight for m, branch in zip(zeta.maps, branches)}
+    live = [branch for branch in branches if branch.weight > defaults.WEIGHT_FLOOR]
+    h_total = h_classical = h_quantum = 0.0
     infinite = False
-    for m, branch in zip(zeta.maps, branches):
-        p = branch.weight
-        weights[m.label] = p
-        if p <= defaults.WEIGHT_FLOOR:
-            continue
-        div = engine.report(branch.scale(1.0 / p)).value
-        if math.isinf(div):
-            infinite = True
-            continue
-        h_total += p * div
-        h_classical += -p * math.log(p)
-        h_quantum += engine.report(branch).value
-    if infinite:
-        h_total = math.inf
-        h_quantum = math.inf
-    return InformationReport(
-        total_H=h_total,
-        classical_Hc=h_classical,
-        quantum_Hq=h_quantum,
-        weights=weights,
-        infinite_flag=infinite,
-    )
+    if engine.phi.algebra.is_commutative:
+        step = max(1, _ROW_BYTES // (8 * engine.phi.dim))
+        for start in range(0, len(live), step):
+            chunk = live[start:start + step]
+            p = np.array([branch.weight for branch in chunk])
+            rows = np.array([branch._entries().real for branch in chunk])
+            div = engine._rows((1.0 / p)[:, None] * rows)[0]
+            finite = np.isfinite(div)
+            infinite = infinite or not finite.all()
+            h_quantum += float(engine._rows(rows)[0][finite].sum())
+            h_total += float(np.dot(p[finite], div[finite]))
+            h_classical -= float(np.dot(p[finite], np.log(p[finite])))
+    else:
+        for branch in live:
+            p = branch.weight
+            div = engine.report(branch.scale(1.0 / p)).value
+            if math.isinf(div):
+                infinite = True
+                continue
+            h_total += p * div
+            h_classical += -p * math.log(p)
+            h_quantum += engine.report(branch).value
+    if infinite:  # H^c keeps the sum over the branches of finite divergence
+        h_total = h_quantum = math.inf
+    return InformationReport(h_total, h_classical, h_quantum, weights, infinite)
 
 
 def information_via_direct_sum(phi: StateFunctional, zeta: Partition) -> float:

@@ -230,6 +230,9 @@ class DivergenceEngine:
     argument mass outside it beyond the leak tolerance makes the value +inf.
     A functional on an all-1-block algebra is diagonal: its spectrum is its
     diagonal and the identity is its eigenbasis, so it needs no eigensolve.
+    Commutative arguments against a diagonal or degenerate reference take one
+    row kernel, `_rows`, over a `(k, d)` stack of their real diagonals, with
+    every rule above; `report` runs it on one row, `information` on chunks.
 
     A dense reference also holds two flat operators, built once: `log sigma`
     on its support and, when it drops eigenvalues, the projector off that
@@ -244,6 +247,8 @@ class DivergenceEngine:
         self.phi = phi
         self.degenerate = phi.weight <= defaults.WEIGHT_FLOOR
         if self.degenerate:
+            self._basis = None
+            self.smallest_retained = 0.0
             return
         if phi.algebra.is_commutative:
             q = clamp_psd_spectrum(phi._entries().real)
@@ -265,15 +270,34 @@ class DivergenceEngine:
                 dropped = v[:, self._drop]
                 self._off = dropped @ dagger(dropped)
 
+    def _rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, off-support masses, smallest retained entries) of the commutative
+        arguments whose real diagonals are the rows of `rows`, each of weight above
+        WEIGHT_FLOOR, against a diagonal or degenerate reference."""
+        if self.degenerate:
+            return np.full(len(rows), math.inf), rows.sum(axis=1), np.zeros(len(rows))
+        p = clamp_psd_spectrum(rows)  # with V = I, p is also diag(V^dag rho V)
+        top = p.max(axis=1)
+        kept = p > defaults.SUPPORT_CUTOFF * top[:, None]
+        off = np.zeros(len(p)) if self._drop is None else p[:, self._drop].sum(axis=1)
+        leak_tol = 16.0 * p.shape[1] * defaults.SUPPORT_CUTOFF * np.maximum(1.0, top)
+        term_self = (p * np.log(p, out=np.zeros_like(p), where=kept)).sum(axis=1)
+        values = np.where(off > leak_tol, math.inf, term_self - p[:, self._keep] @ self._log_q)
+        return values, off, np.min(p, axis=1, where=kept, initial=math.inf)
+
     def report(self, omega: StateFunctional) -> DivergenceReport:
         if omega.dim != self.phi.dim:
             raise DimensionMismatch(f"dimensions {omega.dim} vs {self.phi.dim}")
         weight = omega.weight
         if weight <= defaults.WEIGHT_FLOOR:
             return DivergenceReport(0.0, 0.0, 0.0, 0.0)
+        commutative = omega.algebra.is_commutative
+        if commutative and self._basis is None:
+            parts = self._rows(omega._entries().real[None])
+            value, off_mass, smallest_p = (float(part[0]) for part in parts)
+            return DivergenceReport(value, off_mass, self.smallest_retained, smallest_p)
         if self.degenerate:
             return DivergenceReport(math.inf, weight, 0.0, 0.0)
-        commutative = omega.algebra.is_commutative
         if commutative:
             spectrum = omega._entries().real
             p = clamp_psd_spectrum(spectrum)

@@ -79,3 +79,19 @@ def brute_force_an(rho, unitary, families, depth):
         branches_past = word_branches(after, past_steps)
         values.append(info_from_branches(branches_joint) - info_from_branches(branches_past))
     return values
+
+
+def site_shift(s, sites):
+    """The cyclic shift of `sites` sites of dimension s on their product basis,
+    |i_1 i_2 ... i_L> -> |i_L i_1 ... i_{L-1}>: a permutation unitary."""
+    shape = (s,) * sites
+    u = np.zeros((s**sites, s**sites))
+    for j, digits in enumerate(itertools.product(range(s), repeat=sites)):
+        u[np.ravel_multi_index(digits[-1:] + digits[:-1], shape), j] = 1.0
+    return u
+
+
+def on_site(op, site, sites):
+    """`op` on site `site` (0-based) of `sites` equal sites, the identity on the others."""
+    s = op.shape[0]
+    return np.kron(np.kron(np.eye(s**site), op), np.eye(s ** (sites - site - 1)))

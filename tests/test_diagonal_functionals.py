@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qde import defaults, partitions
+from qde import defaults, dynamics, partitions
 from qde.classical import FiniteSpace, SymbolicShift, embed_diagonal
 from qde.dynamics import conditional_information, information, information_via_direct_sum
 from qde.errors import DimensionMismatch, NotPositiveSemidefinite, ValidationFailure
@@ -31,6 +31,7 @@ from qde.states import (
 )
 
 from conftest import PLUS
+from oracles import classical_part, info_from_branches
 
 
 def _held(values) -> StateFunctional:
@@ -322,5 +323,109 @@ def test_information_at_window_7_keeps_no_dense_branches():
     finally:
         tracemalloc.stop()
     # dense 128 x 128 branch densities take about 33 MB at the peak
+    assert grown < 2 * 2**20
+    assert not report.infinite_flag and math.isfinite(report.total_H)
+
+
+def _per_branch_information(zeta, branches):
+    """The per-branch `DivergenceEngine.report` loop of `_information`, the
+    reference for its row kernel: (H, H^c, H^q, weights, infinite flag)."""
+    engine = DivergenceEngine(total_functional(branches))
+    weights, h_total, h_classical, h_quantum, infinite = {}, 0.0, 0.0, 0.0, False
+    for m, branch in zip(zeta.maps, branches):
+        p = branch.weight
+        weights[m.label] = p
+        if p <= defaults.WEIGHT_FLOOR:
+            continue
+        div = engine.report(branch.scale(1.0 / p)).value
+        if math.isinf(div):
+            infinite = True
+            continue
+        h_total += p * div
+        h_classical += -p * math.log(p)
+        h_quantum += engine.report(branch).value
+    if infinite:
+        h_total = h_quantum = math.inf
+    return h_total, h_classical, h_quantum, weights, infinite
+
+
+def _diagonal_instance(rng, d, outcomes, *, leak=False, zero=False):
+    """A state held on d points with dead points, and a partition of at least
+    three diagonal maps of one or two Kraus elements.  Outcome 0 lives on a
+    dead point only, so its weight is 0.  With `leak`, point 1 carries 1e-13
+    of the state and only outcome 1, which lives there alone: its normalized
+    branch lies off the support of the mean.  With `zero`, the state is 0."""
+    rho = _entries(rng, d)
+    rho[0], rho[2] = 0.0, 0.5
+    w = rng.random((outcomes, d))
+    w[rng.random((outcomes, d)) < 0.2] = 0.0
+    w[:, 0] = w[0] = 0.0
+    w[0, 0] = 1.0
+    if leak:
+        rho[1] = 1e-13
+        w[:, 1] = w[1] = 0.0
+        w[1, 1] = 1.0
+    w[2, w.sum(axis=0) == 0.0] = 1.0
+    w /= w.sum(axis=0)
+    maps = []
+    for row in w:
+        split = rng.random() if rng.random() < 0.5 else 1.0
+        kraus = np.sqrt([split * row, (1.0 - split) * row]) if split < 1.0 else np.sqrt([row])
+        maps.append(KrausMap(_Diagonals(kraus.astype(complex))))
+    return _held(0.0 * rho if zero else rho / rho.sum()), Partition(tuple(maps))
+
+
+def test_the_row_kernel_matches_the_per_branch_report_loop(rng, monkeypatch):
+    reports, report = [], DivergenceEngine.report
+
+    def recorded(self, omega):
+        reports.append(omega)
+        return report(self, omega)
+
+    monkeypatch.setattr(DivergenceEngine, "report", recorded)
+    seen = set()
+    for t in range(60):
+        d, outcomes = 3 + t % 7, 3 + t % 4
+        state, zeta = _diagonal_instance(rng, d, outcomes, leak=t % 3 == 1, zero=t % 10 == 9)
+        branches = zeta.branch_preduals(state)
+        assert all(b._diagonal is not None and b.algebra.is_commutative for b in branches)
+        want = _per_branch_information(zeta, branches)
+        # the default budget, one row per chunk and two rows per chunk
+        for budget in (dynamics._ROW_BYTES, 8, 16 * d):
+            monkeypatch.setattr(dynamics, "_ROW_BYTES", budget)
+            reports.clear()
+            got = dynamics._information(zeta, branches)
+            assert not reports  # no branch is reported one at a time
+            assert got.weights == want[3] and list(got.weights) == list(want[3])
+            assert got.infinite_flag == want[4]
+            for a, b in zip((got.total_H, got.classical_Hc, got.quantum_Hq), want[:3]):
+                assert a == b if math.isinf(b) else abs(a - b) <= 1e-12, (t, budget)
+        assert 0.0 in got.weights.values()
+        if not got.infinite_flag:  # an independent eigendecomposition oracle
+            dense = [np.diag(b._entries()) for b in branches]
+            assert abs(got.total_H - info_from_branches(dense)) <= 1e-12
+            assert abs(got.classical_Hc - classical_part(dense)) <= 1e-12
+        seen.add((got.infinite_flag, got.classical_Hc > 0.0, state.weight == 0.0))
+    # finite; infinite with a partial, positive H^c; and a zero mean
+    assert seen == {(False, True, False), (True, True, False), (False, False, True)}
+    rows = np.array([[0.5, 0.5, 0.0], [0.0, 0.2, 0.0]])
+    values, off, smallest = DivergenceEngine(_held(np.zeros(3)))._rows(rows)
+    assert np.all(values == math.inf) and off.tolist() == [1.0, 0.2] and not smallest.any()
+
+
+def test_information_at_window_10_stacks_no_more_than_a_chunk():
+    state, q_present, q_past = _markov_instance(10)
+    joint = compose(q_present, q_past)
+    branches = joint.branch_preduals(state)
+    assert state.dim == 1024 and len(branches) == 1024
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = dynamics._information(joint, branches)
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a float64 stack of all 1024 rows of 1024 points alone takes 8 MB
     assert grown < 2 * 2**20
     assert not report.infinite_flag and math.isfinite(report.total_H)

@@ -41,8 +41,10 @@ from oracles import (
     classical_part,
     dag,
     info_from_branches,
+    on_site,
     predual,
     shannon,
+    site_shift,
     word_branches,
 )
 
@@ -536,3 +538,50 @@ def test_dead_words_of_a_dense_family_are_dropped_from_a_n_and_kept_by_refinemen
     assert len(calls) == 4 * 6 - 2
     assert max(max(first, second) for first, second, _ in calls) == 2
     assert any(dead for *_, dead in calls)
+
+
+# --- lattice shift ------------------------------------------------------------
+
+
+def _whitened_families(rng, s, counts):
+    """Random Kraus families on one site, `counts[i]` elements for outcome i,
+    right-normalized so that their unit images sum to the identity."""
+    raw = [[rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s)) for _ in range(c)]
+           for c in counts]
+    w, v = np.linalg.eigh(sum(dag(k) @ k for fam in raw for k in fam))
+    whiten = (v / np.sqrt(w)) @ dag(v)
+    return [[k @ whiten for k in fam] for fam in raw]
+
+
+@pytest.mark.parametrize(
+    "s, sites, depth, counts", [(2, 3, 6, (1, 2)), (3, 2, 5, (2, 1, 3))], ids=["s2_L3", "s3_L2"]
+)
+def test_a_lattice_shift_repeats_the_one_site_sequence(rng, s, sites, depth, counts):
+    """`sites` sites of dimension s in the product state rho^{(x)L}, the cyclic
+    site shift, and a partition that measures site 1 only: the past of depth n
+    measures site 1 again floor(n/L) times and the other sites, which the
+    product state keeps independent, so a_n = c_{floor(n/L)}.  Here c_0 is the
+    one-site information H_rho(zeta_1) and c_m the m-th value of the one-site
+    sequence under the identity."""
+    rho = random_state(rng, s)
+    families = _whitened_families(rng, s, counts)
+    zeta_1 = Partition(tuple(KrausMap(tuple(fam)) for fam in families))
+    zeta = Partition(
+        tuple(KrausMap(tuple(on_site(k, 0, sites) for k in fam)) for fam in families)
+    )
+    phi = rho.density
+    for _ in range(sites - 1):
+        phi = np.kron(phi, rho.density)
+    phi = StateFunctional.from_density(phi)
+    base = information(rho, zeta_1)
+    identity = an_sequence(rho, Automorphism.identity(s), zeta_1, depth // sites)
+    c = [base.total_H, *identity.values]
+    # a genuinely quantum instance whose one-site sequence moves
+    assert abs(base.classical_Hc) > 0.1 and abs(base.quantum_Hq) > 0.1
+    assert c[0] - c[1] > 1e-3
+    values = an_sequence(phi, Automorphism(site_shift(s, sites)), zeta, depth).values
+    assert len(values) == depth
+    for n, a_n in enumerate(values, start=1):
+        assert abs(a_n - c[n // sites]) <= 1e-10, n
+        if n < sites:  # the quantum Bernoulli shift's value
+            assert abs(a_n - base.total_H) <= 1e-10, n
